@@ -1,43 +1,37 @@
-//===- bench/cold_start.cpp - snapshot warm start vs cold build -----------===//
+//===- bench/cold_start.cpp - process start to query-ready ----------------===//
 //
 // Part of the petal project, an open-source reproduction of "Type-Directed
 // Completion of Partial Expressions" (PLDI 2012).
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the snapshot store (DESIGN.md §13) exists to shrink: the
-// time from petald process start to the first query-ready DocumentState.
-// Three columns over the same generated corpus:
+// Measures the time from petald process start to the first query-ready
+// document, over one generated corpus, by the two routes a daemon has:
 //
-//   cold-open   buildDocumentState from source: parse + resolve + index
-//               freeze (the O(N^2) matrices, the BFS reachability tables,
-//               the CSR compactions) + the whole-corpus abstract-type solve
-//   warm-load   loadSnapshot + documentFromSnapshot: validate checksums,
+//   cold-open   buildDocumentState of the whole corpus from source: parse +
+//               resolve + index freeze (the O(N^2) matrices, the BFS
+//               reachability rows, the method-union tables) + the
+//               whole-corpus abstract-type solve
+//   base-open   the corpus as a base snapshot (DESIGN.md §13-14):
+//               loadSnapshot + baseCorpusFromSnapshot (validate checksums,
 //               re-parse the embedded source, adopt every frozen table out
-//               of the mapping, deserialize the solution
-//   warm-open   warm-load plus a petal/open of the corpus riding it (the
-//               incremental-noop build sharing the mapped tables);
-//               informational — the open's cost exists in both worlds,
-//               and in the cold world it *is* the cold-open column
+//               of the mapping, deserialize the solution), then the first
+//               overlay open of a small client document over that base
 //
-// cold-open and warm-load both end in the same place — a query-ready
-// DocumentState for the corpus — so their ratio is the warm start. Each
-// path is repeated (--repeat, default 5) and the median recorded; the
-// warm open's build classification is verified (incremental-noop, i.e.
-// the snapshot actually carried the open), so the bench cannot silently
-// measure a cold build. The PR's acceptance bar: warm-load >= 5x faster
-// than cold-open at equal scale, enforced here (--min-speedup) in both
-// write and --check-against modes.
+// Each path is repeated (--repeat, default 5) and the median recorded; the
+// base-open document's build is verified to be an overlay of the loaded
+// base, so the bench cannot silently measure a monolithic build. The
+// load and open halves of base-open are reported separately too.
 //
 // Writes BENCH_cold_start.json (current directory, or $PETAL_BENCH_DIR).
-// With --check-against <file> it reruns the sweep and fails if any
-// column's median exceeds the snapshot by more than --tolerance percent,
-// or if the speedup bar is missed.
+// With --check-against <file> it reruns the sweep and fails if either
+// path's median exceeds the snapshot by more than --tolerance percent.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
+#include "complete/BaseCorpus.h"
 #include "corpus/SourceWriter.h"
 #include "service/Session.h"
 #include "snapshot/Snapshot.h"
@@ -50,30 +44,50 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
 
 using namespace petal;
 using namespace petal::bench;
 
 namespace {
 
-/// Larger than edit_latency's 6.0 for the same reason that bench is
-/// larger than the others: the quantity under test is the cost the
-/// snapshot *avoids* — index freezing, which is O(N^2) in types — while
-/// the residual warm-start cost (re-parsing the embedded source) is
-/// linear. At toy scales both columns are parser-bound and the ratio says
-/// nothing; at this scale the corpus is comparable to the paper's
-/// mid-size subjects and the ratio has leveled off near its asymptote.
+/// Larger than edit_latency's 6.0: the quantity under test is the cost
+/// the snapshot *avoids* — index freezing, which is O(N^2) in types —
+/// while the residual load cost (re-parsing the embedded source) is linear.
+/// At toy scales both paths are parser-bound and say nothing; this scale is
+/// comparable to the paper's mid-size subjects.
 constexpr double DefaultScale = 10.0;
 
 double coldScale() { return benchScale(DefaultScale); }
 
-std::string corpusText() {
+struct Corpus {
+  std::string Text;      ///< the generated corpus, as source
+  std::string ClientDoc; ///< a small client document over its types
+};
+
+Corpus makeCorpus() {
   ProjectProfile Prof = paperProjectProfiles(coldScale())[0];
   TypeSystem TS;
   Program P(TS);
   CorpusGenerator Gen(Prof);
   Gen.generate(P);
-  return writeProgramSource(P);
+  // The client document references the corpus's last declared reference
+  // type, so its overlay rows reach into the base's type graph.
+  std::string Ty = "object";
+  for (size_t T = TS.numTypes(); T-- != 0;)
+    if (!TS.isBuiltinType(static_cast<TypeId>(T)) &&
+        TS.isReferenceType(static_cast<TypeId>(T))) {
+      Ty = TS.qualifiedName(static_cast<TypeId>(T));
+      break;
+    }
+  std::string Doc = "class ColdStartClient {\n"
+                    "  " + Ty + " Anchor;\n"
+                    "  void Work(" + Ty + " item, int count) {\n"
+                    "    var local = item;\n"
+                    "    return;\n"
+                    "  }\n"
+                    "}\n";
+  return {writeProgramSource(P), Doc};
 }
 
 double medianOf(std::vector<double> V) {
@@ -121,20 +135,17 @@ void writeCorpusSnapshot(const std::string &Text, const std::string &Path) {
 
 struct Sweep {
   double ColdMs = 0;
-  double WarmLoadMs = 0;
-  double WarmOpenMs = 0;
+  double BaseOpenMs = 0; ///< LoadMs + OpenMs, medians of the sums
+  double LoadMs = 0;
+  double OpenMs = 0;
   size_t SnapshotBytes = 0;
-  /// The warm start: query-ready via the snapshot vs query-ready cold.
-  double speedup() const {
-    return WarmLoadMs > 0 ? ColdMs / WarmLoadMs : 0;
-  }
 };
 
 Sweep runSweep(size_t Repeats) {
-  const std::string Text = corpusText();
+  const Corpus C = makeCorpus();
   const std::string Path = snapshotPath();
-  writeCorpusSnapshot(Text, Path);
-  std::cout << "corpus: " << Text.size() / 1024 << " KiB of source, median "
+  writeCorpusSnapshot(C.Text, Path);
+  std::cout << "corpus: " << C.Text.size() / 1024 << " KiB of source, median "
             << "of " << Repeats << " runs per path\n\n";
 
   Sweep S;
@@ -144,7 +155,7 @@ Sweep runSweep(size_t Repeats) {
       std::string Error;
       auto Start = std::chrono::steady_clock::now();
       std::unique_ptr<DocumentState> Doc =
-          buildDocumentState("bench.cs", Text, 1, /*DocThreads=*/1, Error);
+          buildDocumentState("bench.cs", C.Text, 1, /*DocThreads=*/1, Error);
       if (!Doc) {
         std::cerr << "cold_start: cold build failed: " << Error << "\n";
         std::exit(1);
@@ -154,7 +165,7 @@ Sweep runSweep(size_t Repeats) {
     S.ColdMs = medianOf(Ms);
   }
   {
-    std::vector<double> LoadMs, OpenMs;
+    std::vector<double> TotalMs, LoadMs, OpenMs;
     for (size_t I = 0; I != Repeats; ++I) {
       std::string Error;
       auto Start = std::chrono::steady_clock::now();
@@ -163,61 +174,51 @@ Sweep runSweep(size_t Repeats) {
         std::cerr << "cold_start: " << Error << "\n";
         std::exit(1);
       }
-      std::shared_ptr<const DocumentState> Warm =
-          documentFromSnapshot(*Snap, /*DocThreads=*/1);
-      LoadMs.push_back(msSince(Start));
+      std::shared_ptr<const BaseCorpus> Base = baseCorpusFromSnapshot(Snap);
+      double Loaded = msSince(Start);
       S.SnapshotBytes = Snap->Bytes;
 
-      std::unique_ptr<DocumentState> Doc = buildDocumentState(
-          "bench.cs", Text, 1, /*DocThreads=*/1, Error, Warm.get());
+      auto OpenStart = std::chrono::steady_clock::now();
+      std::unique_ptr<DocumentState> Doc =
+          buildDocumentState("client.cs", C.ClientDoc, 1, /*DocThreads=*/1,
+                             Error, nullptr, Base);
+      double Opened = msSince(OpenStart);
       if (!Doc) {
-        std::cerr << "cold_start: warm open failed: " << Error << "\n";
+        std::cerr << "cold_start: overlay open failed: " << Error << "\n";
         std::exit(1);
       }
-      if (Doc->Kind != DocumentState::BuildKind::IncrementalNoop) {
-        std::cerr << "cold_start: FAIL: warm open was not served by the "
-                     "snapshot (build went "
-                  << (Doc->Kind == DocumentState::BuildKind::Full
-                          ? "full"
-                          : "incremental-body")
-                  << ")\n";
+      if (Doc->Base != Base || Doc->DegradedMonolithic ||
+          Doc->TS->baseLayer() != Base->TS.get()) {
+        std::cerr << "cold_start: FAIL: the first open did not build as an "
+                     "overlay of the loaded base\n";
         std::exit(1);
       }
-      OpenMs.push_back(msSince(Start));
+      TotalMs.push_back(Loaded + Opened);
+      LoadMs.push_back(Loaded);
+      OpenMs.push_back(Opened);
     }
-    S.WarmLoadMs = medianOf(LoadMs);
-    S.WarmOpenMs = medianOf(OpenMs);
+    S.BaseOpenMs = medianOf(TotalMs);
+    S.LoadMs = medianOf(LoadMs);
+    S.OpenMs = medianOf(OpenMs);
   }
   std::remove(Path.c_str());
   return S;
 }
 
 void printSweep(const Sweep &S) {
+  auto VsCold = [&](double Ms) {
+    return formatFixed(Ms > 0 ? S.ColdMs / Ms : 0, 1) + "x";
+  };
   TextTable Tab;
   Tab.setHeader({"path", "median ms", "vs cold"});
   Tab.addRow({"cold-open", formatFixed(S.ColdMs, 2), "1.0x"});
-  Tab.addRow({"warm-load", formatFixed(S.WarmLoadMs, 2),
-              formatFixed(S.speedup(), 1) + "x"});
-  Tab.addRow({"warm-open", formatFixed(S.WarmOpenMs, 2),
-              formatFixed(S.WarmOpenMs > 0 ? S.ColdMs / S.WarmOpenMs : 0, 1) +
-                  "x"});
+  Tab.addRow({"base-open", formatFixed(S.BaseOpenMs, 2), VsCold(S.BaseOpenMs)});
+  Tab.addRow({"  base-snapshot load", formatFixed(S.LoadMs, 2), ""});
+  Tab.addRow({"  first overlay open", formatFixed(S.OpenMs, 2), ""});
   std::cout << "Process start to query-ready (snapshot "
             << S.SnapshotBytes / 1024 << " KiB):\n";
   Tab.print(std::cout);
   std::cout << "\n";
-}
-
-int enforceSpeedup(const Sweep &S, double MinSpeedup) {
-  if (S.speedup() < MinSpeedup) {
-    std::cerr << "FAIL: warm start is only " << formatFixed(S.speedup(), 1)
-              << "x faster than a cold build (bar: "
-              << formatFixed(MinSpeedup, 1) << "x)\n";
-    return 1;
-  }
-  std::cout << "warm start is " << formatFixed(S.speedup(), 1)
-            << "x faster than a cold build (bar: "
-            << formatFixed(MinSpeedup, 1) << "x)\n";
-  return 0;
 }
 
 void writeJson(const Sweep &S, size_t Repeats) {
@@ -229,26 +230,25 @@ void writeJson(const Sweep &S, size_t Repeats) {
      << "  \"benchmark\": \"cold_start\",\n"
      << "  \"scale\": " << formatFixed(coldScale(), 2) << ",\n"
      << "  \"repeats\": " << Repeats << ",\n"
+     << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+     << ",\n"
      << "  \"snapshot_bytes\": " << S.SnapshotBytes << ",\n"
      << "  \"results\": [\n"
      << "    {\"path\": \"cold-open\", \"ms\": " << formatFixed(S.ColdMs, 2)
      << "},\n"
-     << "    {\"path\": \"warm-load\", \"ms\": "
-     << formatFixed(S.WarmLoadMs, 2) << ", \"speedup_vs_cold\": "
-     << formatFixed(S.speedup(), 1) << "},\n"
-     << "    {\"path\": \"warm-open\", \"ms\": "
-     << formatFixed(S.WarmOpenMs, 2) << "}\n"
+     << "    {\"path\": \"base-open\", \"ms\": "
+     << formatFixed(S.BaseOpenMs, 2)
+     << ", \"load_ms\": " << formatFixed(S.LoadMs, 2)
+     << ", \"open_ms\": " << formatFixed(S.OpenMs, 2) << "}\n"
      << "  ]\n}\n";
   std::cout << "wrote " << Dir << "/BENCH_cold_start.json\n";
 }
 
 /// Reruns the sweep and compares per-path medians against a
 /// BENCH_cold_start.json snapshot. Latency: *higher* is the regression
-/// direction; the >= MinSpeedup bar is enforced on the fresh numbers too,
-/// so the gate catches a warm path that silently degenerated into a cold
-/// build even if both columns moved together.
+/// direction.
 int checkAgainst(const std::string &File, double TolerancePct,
-                 double MinSpeedup, size_t Repeats) {
+                 size_t Repeats) {
   std::ifstream In(File);
   if (!In) {
     std::cerr << "error: cannot open baseline '" << File << "'\n";
@@ -281,8 +281,7 @@ int checkAgainst(const std::string &File, double TolerancePct,
   printSweep(S);
   std::vector<std::pair<std::string, double>> Current = {
       {"cold-open", S.ColdMs},
-      {"warm-load", S.WarmLoadMs},
-      {"warm-open", S.WarmOpenMs},
+      {"base-open", S.BaseOpenMs},
   };
 
   TextTable Tab;
@@ -311,7 +310,7 @@ int checkAgainst(const std::string &File, double TolerancePct,
               << "% against the baseline snapshot\n";
     return 1;
   }
-  return enforceSpeedup(S, MinSpeedup);
+  return 0;
 }
 
 } // namespace
@@ -320,9 +319,8 @@ int main(int argc, char **argv) {
   size_t Repeats = 5;
   std::string CheckFile;
   double TolerancePct = 10.0;
-  double MinSpeedup = 5.0;
   FlagParser Flags("cold_start",
-                   "snapshot warm start vs cold build, start to query-ready");
+                   "cold build vs base snapshot, start to query-ready");
   Flags.addFlag("repeat", "N", "runs per path, median reported",
                 [&](const std::string &V) {
                   if (!parseCount(V, "repeat", Repeats))
@@ -353,31 +351,16 @@ int main(int argc, char **argv) {
                   }
                   return true;
                 });
-  Flags.addFlag("min-speedup", "X",
-                "required warm-open speedup over cold-open (default 5)",
-                [&](const std::string &V) {
-                  char *End = nullptr;
-                  MinSpeedup = std::strtod(V.c_str(), &End);
-                  if (End == V.c_str() || *End != '\0' || MinSpeedup < 0) {
-                    std::cerr << "error: --min-speedup needs a non-negative "
-                                 "number, got '"
-                              << V << "'\n";
-                    return false;
-                  }
-                  return true;
-                });
   if (!Flags.parse(argc, argv))
     return Flags.exitCode();
 
-  banner("snapshot cold start", "DESIGN.md §13 / start-to-query-ready",
+  banner("cold start", "DESIGN.md §13-14 / start-to-query-ready",
          coldScale());
   if (!CheckFile.empty())
-    return checkAgainst(CheckFile, TolerancePct, MinSpeedup, Repeats);
+    return checkAgainst(CheckFile, TolerancePct, Repeats);
 
   Sweep S = runSweep(Repeats);
   printSweep(S);
-  if (int Rc = enforceSpeedup(S, MinSpeedup))
-    return Rc;
   writeJson(S, Repeats);
   return 0;
 }

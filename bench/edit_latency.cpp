@@ -19,8 +19,8 @@
 // recorded; the classification returned by the builder is verified against
 // the expected kind, so the bench cannot silently measure the wrong path.
 // The point of DESIGN.md §12 is the body-edit row: it shares the previous
-// version's TypeSystem and frozen index tables and must come in far below
-// the cold build (the PR's acceptance bar is >= 5x at equal scale).
+// version's TypeSystem and frozen index tables and must come in well below
+// the cold build at equal scale.
 //
 // Writes BENCH_edit.json (into the current directory, or $PETAL_BENCH_DIR).
 // With --check-against <file> it instead reruns the sweep and fails if any

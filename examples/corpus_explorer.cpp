@@ -88,7 +88,7 @@ int main(int argc, char **argv) {
                 });
   Flags.addFlag("save-snapshot", "FILE",
                 "serialize the generated corpus (frozen indexes + solved "
-                "abstract types) for petal_serve --snapshot, then exit",
+                "abstract types) for petal_serve --base-snapshot, then exit",
                 [&](const std::string &V) {
                   SnapshotOut = V;
                   return !SnapshotOut.empty();

@@ -83,20 +83,11 @@ int main(int argc, char **argv) {
   PetalService::Options Opts;
   size_t TcpPort = 0;
   bool UseTcp = false;
-  std::string SnapshotPath;
   std::string BasePath;
   std::string BaseSnapshotPath;
 
   FlagParser Flags("petal_serve",
                    "resident completion daemon (framed JSON-RPC)");
-  Flags.addFlag("snapshot", "FILE",
-                "warm-start from a snapshot written by corpus_explorer "
-                "--save-snapshot (falls back to cold builds on any "
-                "mismatch)",
-                [&](const std::string &V) {
-                  SnapshotPath = V;
-                  return !SnapshotPath.empty();
-                });
   Flags.addFlag("base", "FILE",
                 "serve every document as an overlay over this shared "
                 "framework corpus source (parsed, frozen, and solved once "
@@ -107,7 +98,8 @@ int main(int argc, char **argv) {
                 });
   Flags.addFlag("base-snapshot", "FILE",
                 "like --base, but adopt the shared corpus zero-copy from a "
-                "snapshot file (degrades to no base on any mismatch)",
+                "snapshot written by corpus_explorer --save-snapshot "
+                "(refuses to start on any defect)",
                 [&](const std::string &V) {
                   BaseSnapshotPath = V;
                   return !BaseSnapshotPath.empty();
@@ -233,34 +225,6 @@ int main(int argc, char **argv) {
               << BaseSnapshotPath << "' (" << Snap->Bytes << " bytes, "
               << (Snap->Mapped ? "mmap" : "buffered") << ", "
               << Snap->LoadMillis << " ms)\n";
-  }
-
-  if (!SnapshotPath.empty()) {
-    if (Opts.Base) {
-      std::cerr << "error: --snapshot warm-start does not combine with a "
-                   "base corpus (overlay opens are already warm)\n";
-      return 1;
-    }
-    std::string Error;
-    auto Snap = snapshot::loadSnapshot(SnapshotPath, Error);
-    if (!Snap) {
-      // Degrade, don't die: a missing/stale/corrupt snapshot means cold
-      // opens, and $/stats reports why.
-      std::cerr << "petal_serve: warm start unavailable, building cold: "
-                << Error << "\n";
-      Opts.Snapshot.FallbackReason = Error;
-    } else {
-      Opts.Snapshot.WarmStart =
-          documentFromSnapshot(*Snap, Opts.DocThreads);
-      Opts.Snapshot.Loaded = true;
-      Opts.Snapshot.LoadMillis = Snap->LoadMillis;
-      Opts.Snapshot.Bytes = Snap->Bytes;
-      Opts.Snapshot.Mapped = Snap->Mapped;
-      std::cerr << "petal_serve: warm start from '" << SnapshotPath << "' ("
-                << Snap->Bytes << " bytes, "
-                << (Snap->Mapped ? "mmap" : "buffered") << ", "
-                << Snap->LoadMillis << " ms)\n";
-    }
   }
 
   if (UseTcp)

@@ -41,21 +41,24 @@
 #   5. Perf smoke: batch_throughput --check-against BENCH_batch.json (the
 #      frozen-index fast path), edit_latency --check-against
 #      BENCH_edit.json (the incremental-rebuild path), cold_start
-#      --check-against BENCH_cold_start.json (the snapshot warm-start
-#      path, which additionally enforces the >= 5x warm-vs-cold bar), and
-#      workspace_scale --check-against BENCH_workspace.json (the
-#      base/overlay workspace, which enforces the >= 5x
-#      overlay-vs-monolithic per-session build bar), and
+#      --check-against BENCH_cold_start.json (process start to
+#      query-ready by a cold build of the whole corpus and by a
+#      base-snapshot load plus the first overlay open; each path gated on
+#      its own median), workspace_scale --check-against
+#      BENCH_workspace.json (the base/overlay workspace, which enforces
+#      the >= 5x overlay-vs-monolithic per-session build bar), and
 #      service_throughput --check-against BENCH_service.json (the daemon
 #      end to end with the disarmed fault-injection branches on the hot
 #      path — the robustness layer must be within noise of free when
-#      off), each vs its committed snapshot. The tolerance is deliberately loose (50%) — CI machines
-#      are noisy and differ from the snapshot's hardware; the leg exists
-#      to catch order-of-magnitude regressions (a lock reintroduced on the
-#      query path, an index silently falling back to the lazy
-#      representation, an edit shape silently demoted to a full rebuild, a
-#      warm start silently degenerating into a cold build, an overlay open
-#      silently redoing base-corpus work), not 10% drift.
+#      off), each vs its committed snapshot. The tolerance is deliberately
+#      loose (50%) — CI machines are noisy and differ from the snapshot's
+#      hardware; the leg exists to catch order-of-magnitude regressions (a
+#      lock reintroduced on the query path, an index freeze silently
+#      falling back to warming and copying the lazy representation, an
+#      edit shape silently demoted to a full rebuild, an overlay open
+#      silently redoing base-corpus work), not 10% drift. Last, the wire
+#      benchmark's own unit tests (python3 wirebench/run.py --test, which
+#      builds wirebench and the daemon into .bench_build/).
 #
 # Usage: scripts/ci.sh [jobs]          (default: nproc)
 #
@@ -120,7 +123,7 @@ cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 
 echo
-echo "== [5/5] Perf smoke: batch + edit + cold start + workspace + service throughput vs committed snapshots"
+echo "== [5/5] Perf smoke: batch + edit + cold start + workspace + service throughput vs committed snapshots, then the wire benchmark's tests"
 build-ci/bench/batch_throughput --check-against BENCH_batch.json \
   --tolerance 50
 build-ci/bench/edit_latency --check-against BENCH_edit.json \
@@ -131,6 +134,7 @@ build-ci/bench/workspace_scale --check-against BENCH_workspace.json \
   --tolerance 50
 build-ci/bench/service_throughput --check-against BENCH_service.json \
   --tolerance 50 --repeat 3
+python3 wirebench/run.py --test
 
 echo
 echo "== ci.sh: all green"

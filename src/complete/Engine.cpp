@@ -85,18 +85,24 @@ void CompletionIndexes::freeze(const FreezeOptions &Opts) {
   }
   TS.warmRelationCaches();
   Members.warmAll();
-  Methods.warmAll();
-  Reach.warmAll();
+  bool ReachDense = false;
   if (Opts.MaxDenseBytes != 0) {
-    // Compile the warmed caches into dense storage. Order matters only for
-    // speed: Reach.freeze() performs N² convertibility checks that become
-    // single int16 loads once the type system's matrix is in place, and it
-    // walks member edges, which the CSR layout serves linearly.
+    // Build the flat tables. The method unions and reachability rows are
+    // filled directly, never from the lazy caches. Order matters
+    // only for speed: Reach.freeze() performs N² convertibility checks that
+    // become single int16 loads once the type system's matrix is in place,
+    // and it walks member edges, which the CSR layout serves linearly.
     TS.freezeDenseDistances(Opts.MaxDenseBytes);
     Members.freeze();
     Methods.freeze();
-    Reach.freeze(Opts.MaxDenseBytes);
+    ReachDense = Reach.freeze(Opts.MaxDenseBytes);
+  } else {
+    Methods.warmAll();
   }
+  // Where the lazy form is kept (no dense budget, or the reachability
+  // matrices exceed it), warm it so later reads never fill a cache.
+  if (!ReachDense)
+    Reach.warmAll();
   Frozen = true;
 }
 

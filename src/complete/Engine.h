@@ -41,16 +41,16 @@ namespace petal {
 
 struct BaseCorpus;
 
-/// Controls how CompletionIndexes::freeze() compiles the lazy caches into
-/// dense storage (see DESIGN.md, "Frozen index memory layout").
+/// Controls how CompletionIndexes::freeze() builds the flat tables (see
+/// DESIGN.md, "Frozen index memory layout").
 struct FreezeOptions {
   /// Byte budget for each family of dense TypeId×TypeId int16 matrices
   /// (the type system's conversion distances, and the reachability index's
   /// exact- and convertible-distance tables). Corpora whose matrices would
   /// exceed the budget keep the warmed lazy path for that index instead.
-  /// 0 disables dense compilation entirely — freeze() then only warms the
-  /// lazy caches, which is the legacy behavior the equivalence tests
-  /// compare against.
+  /// 0 builds no flat tables at all — freeze() then only warms the lazy
+  /// caches, the independent reference the equivalence tests compare the
+  /// directly built tables against.
   size_t MaxDenseBytes = 256u << 20;
 };
 
@@ -105,23 +105,24 @@ struct CompletionIndexes {
   /// fresh inference extends the base solution again.
   CompletionIndexes(Program &P, const CompletionIndexes &Prev);
 
-  /// Eagerly populates every lazily filled cache (the type system's
-  /// ancestor distances, the member edges, the method-index supertype
-  /// unions, and the reachability distance maps), then — budget permitting
-  /// — compiles them into immutable dense tables: TypeId×TypeId int16
-  /// distance matrices, CSR member edges, and contiguous pre-merged
-  /// method-index spans. Idempotent; required before concurrent use,
-  /// harmless (and often useful — first-touch cost moves out of the
-  /// measured path) in single-threaded use.
+  /// Builds the immutable flat tables — TypeId×TypeId int16 distance
+  /// matrices, CSR member edges, and contiguous pre-merged method-index
+  /// spans. The method unions and the reachability rows are filled
+  /// directly; the type system's ancestor distances and the member edges
+  /// are still warmed and then packed. Where the lazy form is kept (budget
+  /// 0, or a dense budget refused), its caches are warmed instead.
+  /// Idempotent; required before concurrent use, harmless (and often
+  /// useful — first-touch cost moves out of the measured path) in
+  /// single-threaded use.
   void freeze() { freeze(FreezeOptions{}); }
   void freeze(const FreezeOptions &Opts);
   bool frozen() const { return Frozen; }
 
   /// Marks the indexes frozen after the snapshot loader has installed
   /// mapped tables into every sub-index via their adoptFrozen hooks.
-  /// freeze() must NOT run on this path — it would redo the warm passes
-  /// whose absence is the whole point of warm-starting. Requires all four
-  /// dense stores to be populated already.
+  /// freeze() must NOT run on this path — it would rebuild the tables the
+  /// snapshot supplies. Requires all four dense stores to be populated
+  /// already.
   void adoptFrozenTables();
 
   /// True when this instance aliases a previous version's type-graph

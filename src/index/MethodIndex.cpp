@@ -14,21 +14,26 @@
 
 using namespace petal;
 
+void MethodIndex::addToBuckets(MethodId Id) {
+  All.push_back(Id);
+  // Insert the method once per *distinct* parameter type. A call signature
+  // has a handful of parameters, so a scan of the earlier ones beats a set.
+  size_t N = TS.numCallParams(Id);
+  for (size_t I = 0; I != N; ++I) {
+    TypeId T = TS.callParamType(Id, I);
+    bool Seen = false;
+    for (size_t J = 0; J != I && !Seen; ++J)
+      Seen = TS.callParamType(Id, J) == T;
+    if (!Seen)
+      Buckets[T].push_back(Id);
+  }
+}
+
 MethodIndex::MethodIndex(const TypeSystem &TS) : TS(TS) {
   Buckets.resize(TS.numTypes());
   All.reserve(TS.numMethods());
-  for (size_t M = 0; M != TS.numMethods(); ++M) {
-    MethodId Id = static_cast<MethodId>(M);
-    All.push_back(Id);
-    // Insert the method once per *distinct* parameter type.
-    std::unordered_set<TypeId> Seen;
-    size_t N = TS.numCallParams(Id);
-    for (size_t I = 0; I != N; ++I) {
-      TypeId T = TS.callParamType(Id, I);
-      if (Seen.insert(T).second)
-        Buckets[T].push_back(Id);
-    }
-  }
+  for (size_t M = 0; M != TS.numMethods(); ++M)
+    addToBuckets(static_cast<MethodId>(M));
   UnionCache.resize(TS.numTypes());
   UnionCacheValid.assign(TS.numTypes(), false);
 }
@@ -46,17 +51,8 @@ MethodIndex::MethodIndex(const TypeSystem &TS,
   size_t NumBaseMethods = TS.numBaseMethods();
   Buckets.resize(TS.numTypes());
   All.reserve(TS.numMethods() - NumBaseMethods);
-  for (size_t M = NumBaseMethods; M != TS.numMethods(); ++M) {
-    MethodId Id = static_cast<MethodId>(M);
-    All.push_back(Id);
-    std::unordered_set<TypeId> Seen;
-    size_t N = TS.numCallParams(Id);
-    for (size_t I = 0; I != N; ++I) {
-      TypeId T = TS.callParamType(Id, I);
-      if (Seen.insert(T).second)
-        Buckets[T].push_back(Id);
-    }
-  }
+  for (size_t M = NumBaseMethods; M != TS.numMethods(); ++M)
+    addToBuckets(static_cast<MethodId>(M));
   UnionCache.resize(TS.numTypes() - NumBaseTypes);
   UnionCacheValid.assign(TS.numTypes() - NumBaseTypes, false);
   AppCache.resize(NumBaseTypes);
@@ -78,38 +74,101 @@ void MethodIndex::warmAll() const {
 }
 
 namespace {
-/// Compacts per-slot vectors into CSR (Data, Offs) storage.
-void compactCsr(const std::vector<std::vector<MethodId>> &Slots,
-                std::vector<MethodId> &Data, std::vector<uint32_t> &Offs) {
-  size_t N = Slots.size();
-  Offs.assign(N + 1, 0);
-  size_t Total = 0;
-  for (size_t T = 0; T != N; ++T) {
-    Offs[T] = static_cast<uint32_t>(Total);
-    Total += Slots[T].size();
+/// Epoch-stamped visited marks: a slot is marked iff it holds the current
+/// epoch, so starting a new traversal is one increment, not a clear.
+class EpochMarks {
+public:
+  explicit EpochMarks(size_t N) : Stamp(N, 0) {}
+  void next() { ++Epoch; }
+  /// Marks \p I; returns false if it was already marked this epoch.
+  bool mark(size_t I) {
+    if (Stamp[I] == Epoch)
+      return false;
+    Stamp[I] = Epoch;
+    return true;
   }
-  assert(Total <= UINT32_MAX && "method-union size overflows CSR offsets");
-  Offs[N] = static_cast<uint32_t>(Total);
-  Data.clear();
-  Data.reserve(Total);
-  for (size_t T = 0; T != N; ++T)
-    Data.insert(Data.end(), Slots[T].begin(), Slots[T].end());
-}
+
+private:
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
+};
 } // namespace
 
 void MethodIndex::freeze() const {
   if (frozen())
     return;
-  warmAll();
 
-  if (BaseIdx)
-    compactCsr(AppCache, AppData, AppOffsets);
-  std::vector<uint32_t> Offs;
-  compactCsr(UnionCache, UnionData, Offs);
-  UnionOffsets = std::move(Offs);
+  // Builds the CSR tables in one pass: each slot's union is the same
+  // supertype BFS as unionSpan() and overlayUnion() (nearer types' buckets
+  // first, which ranking depends on), appended straight onto UnionData,
+  // with flat epoch-stamped marks as its visited sets.
+  size_t N = TS.numTypes();
+  EpochMarks TypeSeen(N), MethodSeen(TS.numMethods());
+  std::vector<TypeId> Queue;
+  auto AppendUnique = [&](Span<const MethodId> Bucket) {
+    for (MethodId M : Bucket)
+      if (MethodSeen.mark(static_cast<size_t>(M)))
+        UnionData.push_back(M);
+  };
+
+  size_t Slots = N - NumBaseTypes;
+  UnionData.clear();
+  UnionOffsets.assign(Slots + 1, 0);
+  for (size_t Slot = 0; Slot != Slots; ++Slot) {
+    UnionOffsets[Slot] = static_cast<uint32_t>(UnionData.size());
+    TypeSeen.next();
+    MethodSeen.next();
+    Queue.clear();
+    Queue.push_back(static_cast<TypeId>(NumBaseTypes + Slot));
+    TypeSeen.mark(NumBaseTypes + Slot);
+    for (size_t Head = 0; Head != Queue.size(); ++Head) {
+      TypeId Cur = Queue[Head];
+      // An overlay type's visited bucket is the base bucket followed by the
+      // overlay bucket: the id-order content a monolithic build would hold.
+      if (BaseIdx)
+        AppendUnique(BaseIdx->bucketSpan(Cur));
+      AppendUnique(bucketSpan(Cur));
+      for (TypeId S : TS.immediateSupertypes(Cur))
+        if (TypeSeen.mark(static_cast<size_t>(S)))
+          Queue.push_back(S);
+    }
+  }
+  assert(UnionData.size() <= UINT32_MAX &&
+         "method-union size overflows CSR offsets");
+  UnionOffsets[Slots] = static_cast<uint32_t>(UnionData.size());
+  UnionData.shrink_to_fit();
+
+  if (BaseIdx) {
+    // Appendages: the overlay methods one of whose call-parameter types lies
+    // in base type T's supertype closure (see overlayAppendage() for why
+    // the null literal gets none). A repeated parameter type cannot change
+    // the first match, so no distinctness check is needed.
+    AppData.clear();
+    AppOffsets.assign(NumBaseTypes + 1, 0);
+    for (size_t T = 0; T != NumBaseTypes; ++T) {
+      AppOffsets[T] = static_cast<uint32_t>(AppData.size());
+      TypeId Ty = static_cast<TypeId>(T);
+      if (Ty == TS.nullType())
+        continue;
+      for (MethodId M : All) {
+        size_t NP = TS.numCallParams(M);
+        for (size_t I = 0; I != NP; ++I) {
+          TypeId S = TS.callParamType(M, I);
+          if (static_cast<size_t>(S) < NumBaseTypes &&
+              TS.typeDistance(Ty, S).has_value()) {
+            AppData.push_back(M);
+            break;
+          }
+        }
+      }
+    }
+    AppOffsets[NumBaseTypes] = static_cast<uint32_t>(AppData.size());
+    AppData.shrink_to_fit();
+  }
+
   UnionV = UnionData.data();
   NumUnion = UnionData.size();
-  NumTypesFrozen = UnionCache.size();
+  NumTypesFrozen = Slots;
   // Publish UOffV last: frozen() keys off it, and once it is non-null
   // candidatesForArgType never touches the lazy representation.
   UOffV = UnionOffsets.data();

@@ -108,14 +108,16 @@ private:
 
 /// Immutable method index built over a finished TypeSystem.
 ///
-/// The per-type supertype-union candidate lists start as lazily memoized
-/// heap vectors (single-threaded fills). freeze() — called by
-/// CompletionIndexes::freeze() — pre-merges every supertype chain into one
-/// contiguous CSR array with per-type [UnionOffsets[T], UnionOffsets[T+1])
-/// spans; afterwards every accessor is a lock-free read of immutable flat
-/// storage. Like the other type-graph indexes, a frozen instance reads
-/// nothing but its TypeSystem, so body-only document edits share it
-/// across versions via CompletionIndexes' sharing constructor.
+/// freeze() — called by CompletionIndexes::freeze() — builds every type's
+/// supertype-union candidate list in one pass straight into a contiguous
+/// CSR array with per-type [UnionOffsets[T], UnionOffsets[T+1]) spans,
+/// using flat epoch-stamped marks for the BFS; afterwards every accessor is
+/// a lock-free read of immutable flat storage. Before freeze() (or with
+/// FreezeOptions::MaxDenseBytes = 0) the lists are lazily memoized heap
+/// vectors (single-threaded fills), the independent reference the CSR
+/// tables are tested against. Like the other type-graph indexes, a frozen
+/// instance reads nothing but its TypeSystem, so body-only document edits
+/// share it across versions via CompletionIndexes' sharing constructor.
 ///
 /// In overlay mode (base/overlay workspace, DESIGN.md §14) the index holds
 /// only the document's methods: a base type's candidates are the shared
@@ -144,8 +146,8 @@ public:
   /// Eagerly memoizes candidatesForArgType for every type; idempotent.
   void warmAll() const;
 
-  /// Compacts the memoized union lists into the CSR layout (warming any
-  /// still-unfilled entries first) and frees the lazy storage; idempotent.
+  /// Builds the CSR layout directly (the same BFS as the lazy path, never
+  /// reading its memo) and frees any lazy storage; idempotent.
   void freeze() const;
   bool frozen() const { return UOffV != nullptr; }
 
@@ -190,6 +192,9 @@ public:
   size_t memoryBytes() const;
 
 private:
+  /// Appends \p Id to All and to the bucket of each distinct call-parameter
+  /// type (constructor helper).
+  void addToBuckets(MethodId Id);
   /// The monolithic / base-layer union accessor (CSR window or memoized
   /// vector). Must not be called in overlay mode.
   Span<const MethodId> unionSpan(TypeId T) const;

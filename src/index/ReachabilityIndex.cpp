@@ -8,6 +8,7 @@
 #include "index/ReachabilityIndex.h"
 
 #include <cassert>
+#include <cstdint>
 #include <deque>
 
 using namespace petal;
@@ -67,45 +68,65 @@ bool ReachabilityIndex::freeze(size_t MaxDenseBytes) const {
   size_t Rows = N - NumBaseTypes;
   if (N == 0 || 4 * Rows * N * sizeof(int16_t) > MaxDenseBytes)
     return false;
-  warmAll();
+  static_assert(NoReach < 0, "BFS rows use NoReach as 'unvisited'");
+  assert(MaxDepth < INT16_MAX && "lookup distance overflows int16");
 
-  // Per-type convertible-target adjacency, computed once up front so the
-  // ConvM fill below is a relaxation over precomputed lists instead of N³
-  // implicitlyConvertible calls. With the TypeSystem's own dense distance
-  // matrix frozen, each check is a single int16 load. An overlay only needs
-  // the lists of types its rows actually reach, which keeps its freeze
-  // O(reach × N) instead of the base's O(N²).
+  // Per-type convertible-target lists, filled the first time a row reaches
+  // the type, so the ConvM fill below is a relaxation over precomputed lists
+  // instead of N³ implicitlyConvertible calls. With the TypeSystem's own
+  // dense distance matrix frozen, each check is a single int16 load. An
+  // overlay only ever reaches a fraction of the population, which keeps
+  // its freeze O(reach × N) instead of the base's O(N²).
   std::vector<std::vector<TypeId>> ConvTargets(N);
-  std::vector<bool> Needed(N, !BaseReach);
-  if (BaseReach)
-    for (size_t F = NumBaseTypes; F != N; ++F)
-      for (int K = 0; K != 2; ++K)
-        for (const auto &[To, D] :
-             reachableFrom(static_cast<TypeId>(F), /*MethodsAllowed=*/K == 1))
-          Needed[To] = true;
-  for (size_t Ty = 0; Ty != N; ++Ty) {
-    if (!Needed[Ty])
-      continue;
-    for (size_t Tgt = 0; Tgt != N; ++Tgt)
-      if (TS.implicitlyConvertible(static_cast<TypeId>(Ty),
-                                   static_cast<TypeId>(Tgt)))
-        ConvTargets[Ty].push_back(static_cast<TypeId>(Tgt));
-  }
+  std::vector<bool> HaveTargets(N, false);
+  auto convTargets = [&](TypeId Ty) -> const std::vector<TypeId> & {
+    if (!HaveTargets[Ty]) {
+      for (size_t Tgt = 0; Tgt != N; ++Tgt)
+        if (TS.implicitlyConvertible(Ty, static_cast<TypeId>(Tgt)))
+          ConvTargets[Ty].push_back(static_cast<TypeId>(Tgt));
+      HaveTargets[Ty] = true;
+    }
+    return ConvTargets[Ty];
+  };
 
+  std::vector<TypeId> Queue;
+  Queue.reserve(N);
   for (int K = 0; K != 2; ++K) {
+    bool MethodsAllowed = K == 1;
     std::vector<int16_t> DM(Rows * N, NoReach);
     std::vector<int16_t> CM(Rows * N, NoReach);
     for (size_t F = NumBaseTypes; F != N; ++F) {
       int16_t *DRow = DM.data() + (F - NumBaseTypes) * N;
       int16_t *CRow = CM.data() + (F - NumBaseTypes) * N;
-      for (const auto &[To, D] : reachableFrom(static_cast<TypeId>(F),
-                                               /*MethodsAllowed=*/K == 1)) {
-        assert(D >= 0 && D <= INT16_MAX && "lookup distance overflows int16");
-        auto D16 = static_cast<int16_t>(D);
-        DRow[To] = D16;
-        for (TypeId Tgt : ConvTargets[To])
-          if (CRow[Tgt] == NoReach || D16 < CRow[Tgt])
-            CRow[Tgt] = D16;
+      // The same BFS as reachableFrom(), run straight into the row: a cell
+      // still at NoReach is unvisited, and the flat queue ends up holding
+      // every reached type in nondecreasing distance order.
+      Queue.clear();
+      Queue.push_back(static_cast<TypeId>(F));
+      DRow[F] = 0;
+      for (size_t Head = 0; Head != Queue.size(); ++Head) {
+        TypeId Cur = Queue[Head];
+        int16_t D = DRow[Cur];
+        if (D >= MaxDepth)
+          continue;
+        const auto Edges = Members.edges(Cur);
+        size_t Limit =
+            MethodsAllowed ? Edges.size() : Members.numFieldEdges(Cur);
+        for (size_t I = 0; I != Limit; ++I) {
+          TypeId Next = Edges[I].ResultType;
+          if (DRow[Next] != NoReach)
+            continue;
+          DRow[Next] = static_cast<int16_t>(D + 1);
+          Queue.push_back(Next);
+        }
+      }
+      // Distances arrive in nondecreasing order, so the first type to claim
+      // a convertible target holds its minimum.
+      for (TypeId To : Queue) {
+        int16_t D = DRow[To];
+        for (TypeId Tgt : convTargets(To))
+          if (CRow[Tgt] == NoReach)
+            CRow[Tgt] = D;
       }
     }
     DistM[K] = std::move(DM);
@@ -113,6 +134,8 @@ bool ReachabilityIndex::freeze(size_t MaxDenseBytes) const {
     DistV[K] = DistM[K].data();
     ConvV[K] = ConvM[K].data();
   }
+  // Lazy queries made before the freeze may have filled the maps; the
+  // matrices supersede them.
   for (auto &CacheMap : Cache)
     CacheMap.clear();
   DenseN = N;

@@ -32,19 +32,19 @@
 
 namespace petal {
 
-/// Lazily computed per-source-type reachability: the minimum number of
-/// lookup steps from a value of one type to a value of another.
+/// Per-source-type reachability: the minimum number of lookup steps from a
+/// value of one type to a value of another.
 ///
-/// Concurrency: the lazy representation (per-source hash maps, filled on
-/// first touch) is single-threaded. freeze() — called by
-/// CompletionIndexes::freeze() — compiles both queries into dense
-/// TypeId×TypeId int16 matrices (distance-to-exact-type and
-/// distance-to-convertible-target, one pair per edge set), after which
-/// every accessor is a branch-free load from immutable flat storage with
-/// no locking whatsoever. This retired the old (source,target)-pair-keyed
-/// hash memo and the shared_mutex that guarded it: the dense matrix *is*
-/// the fully enumerated pair space, so there is nothing left to memoize
-/// and nothing left to lock.
+/// Two representations. freeze() — called by CompletionIndexes::freeze() —
+/// builds dense TypeId×TypeId int16 matrices (distance-to-exact-type and
+/// distance-to-convertible-target, one pair per edge set) directly: each
+/// source type's BFS runs straight into its distance row, which doubles as
+/// the visited set, and the convertible row is derived from the reached
+/// types. After that every accessor is a branch-free load from immutable
+/// flat storage with no locking whatsoever. The lazy representation
+/// (per-source hash maps, filled on first touch, single-threaded) is the
+/// fallback when the matrices exceed the dense budget, and the independent
+/// reference the dense tables are tested against; freeze() never reads it.
 /// In overlay mode (base/overlay workspace, DESIGN.md §14) the dense
 /// matrices cover only the document's types (one delta row per overlay
 /// type, each row spanning the full type population); base-source queries
@@ -87,14 +87,15 @@ public:
   const std::unordered_map<TypeId, int> &reachableFrom(TypeId From,
                                                        bool MethodsAllowed) const;
 
-  /// Eagerly computes the distance map of every type for both edge sets;
-  /// idempotent. Requires the MemberCache to be warm (or warms it as a
-  /// side effect of the BFS).
+  /// Eagerly computes the lazy distance map of every type for both edge
+  /// sets (the form kept when freeze() refuses); idempotent. Requires the
+  /// MemberCache to be warm (or warms it as a side effect of the BFS).
   void warmAll() const;
 
-  /// Compiles the lazy caches into the dense matrices described in the
-  /// class comment. Returns false (leaving the lazy path in place) when
-  /// the four N×N int16 matrices would exceed \p MaxDenseBytes; idempotent.
+  /// Builds the dense matrices described in the class comment, without
+  /// touching the lazy maps. Returns false (leaving the lazy path in place)
+  /// when the four N×N int16 matrices would exceed \p MaxDenseBytes;
+  /// idempotent.
   /// Once frozen the index is a pure function of the TypeSystem and the
   /// (equally frozen) MemberCache, which is what allows incremental
   /// document rebuilds to share it across versions.

@@ -713,17 +713,11 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
   }
 
   std::string Error;
-  // An edit hands the previous state in as the incremental-build baseline.
-  // An open's baseline depends on the workspace mode: with a shared base
-  // corpus the document builds as a fresh overlay (the base plays the
-  // role a warm-start baseline would); without one, it uses the snapshot
-  // warm-start state (null without --snapshot), so a document matching
-  // the snapshot corpus shares its mapped tables instead of building
-  // cold. S.Doc is safe to read here: session strands serialize
-  // everything that touches it.
-  const DocumentState *Prev =
-      IsChange ? S.Doc.get()
-               : (Opts.Base ? nullptr : Opts.Snapshot.WarmStart.get());
+  // An edit hands the previous state in as the incremental-build baseline;
+  // an open always builds fresh (as an overlay when the workspace has a
+  // shared base corpus). S.Doc is safe to read here: session strands
+  // serialize everything that touches it.
+  const DocumentState *Prev = IsChange ? S.Doc.get() : nullptr;
   const AbortSignal *Sig = T.Ctl ? &T.Ctl->Sig : nullptr;
   std::unique_ptr<DocumentState> Built;
   bool Threw = false;
@@ -851,8 +845,6 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
       ++ReuseIndexesCount;
       if (Kind == DocumentState::BuildKind::IncrementalNoop)
         ++ReuseSolutionCount;
-      if (!IsChange)
-        ++WarmStartCount; // an *open* went incremental: snapshot hit
     }
     CacheRetainedCount += Retained;
     BuildMs.push_back(BuiltMs);
@@ -1082,7 +1074,7 @@ json::Value PetalService::statsJson() {
   }
   uint64_t Received, Queries, Cancelled, Deadline, Stale, Errors, Builds,
       BuildFails, Explained, CeilingHits, FullBuilds, IncBuilds, ReuseTS,
-      ReuseIdx, ReuseSol, Retained, WarmStarts, Evictions;
+      ReuseIdx, ReuseSol, Retained, Evictions;
   uint64_t Shed, Abandoned, Isolated, Watchdogged, CancelledLive, Degraded;
   size_t OverlayBytes = 0;
   std::array<uint64_t, NumScoreTerms> Terms{};
@@ -1105,7 +1097,6 @@ json::Value PetalService::statsJson() {
     ReuseIdx = ReuseIndexesCount;
     ReuseSol = ReuseSolutionCount;
     Retained = CacheRetainedCount;
-    WarmStarts = WarmStartCount;
     Evictions = EvictedCount;
     Shed = ShedCount;
     Abandoned = DeadlineAbandonedCount;
@@ -1191,20 +1182,6 @@ json::Value PetalService::statsJson() {
   DocsV.set("buildMs", std::move(BuildMsV));
   DocsV.set("cacheRetained", Retained);
   R.set("documents", std::move(DocsV));
-
-  // Snapshot warm-start telemetry: whether a snapshot is live, what it
-  // cost to load, and how many opens it has served incrementally. When a
-  // requested snapshot was rejected, fallbackReason says why the daemon is
-  // running cold.
-  Value SnapV = Value::object();
-  SnapV.set("loaded", Opts.Snapshot.Loaded);
-  SnapV.set("loadMs", Opts.Snapshot.LoadMillis);
-  SnapV.set("bytes", Opts.Snapshot.Bytes);
-  SnapV.set("mapped", Opts.Snapshot.Mapped);
-  SnapV.set("warmStarts", WarmStarts);
-  if (!Opts.Snapshot.FallbackReason.empty())
-    SnapV.set("fallbackReason", Opts.Snapshot.FallbackReason);
-  R.set("snapshot", std::move(SnapV));
 
   // Workspace memory accounting: the shared base corpus is one copy no
   // matter how many sessions are open; each session adds only its overlay

@@ -102,23 +102,6 @@ namespace petal {
 /// in-process one.
 class PetalService {
 public:
-  /// Warm-start state from a snapshot file (see snapshot/Snapshot.h and
-  /// --snapshot in petal_serve). The caller loads the snapshot, wraps it
-  /// via documentFromSnapshot, and records the telemetry here; on load
-  /// failure it leaves WarmStart null and notes why in FallbackReason.
-  struct SnapshotConfig {
-    /// petal/open passes this as the incremental baseline; null = every
-    /// open builds cold.
-    std::shared_ptr<const DocumentState> WarmStart;
-    bool Loaded = false;    ///< a snapshot is active
-    double LoadMillis = 0;  ///< validate + parse + adopt time
-    size_t Bytes = 0;       ///< snapshot file size
-    bool Mapped = false;    ///< mmap'd vs buffered-read fallback
-    /// Why a requested snapshot was not used (empty when none was
-    /// requested or it loaded cleanly). Surfaced in $/stats.
-    std::string FallbackReason;
-  };
-
   struct Options {
     /// Service worker threads executing session tasks (builds + queries).
     size_t Workers = 2;
@@ -130,11 +113,8 @@ public:
     /// scheduling hooks the cancellation/deadline tests use. Off in
     /// production daemons.
     bool EnableTestHooks = false;
-    /// Snapshot warm-start state (default: no snapshot).
-    SnapshotConfig Snapshot;
     /// The workspace's shared frozen framework corpus; when set, every
-    /// document build is an overlay build (and the snapshot warm-start
-    /// baseline is not used — the base already serves that role).
+    /// document build is an overlay build.
     std::shared_ptr<const BaseCorpus> Base;
     /// Cap on concurrently open sessions (0 = unlimited). On an open that
     /// would exceed it, least-recently-touched idle sessions are evicted.
@@ -341,7 +321,6 @@ private:
   uint64_t ReuseIndexesCount = 0;
   uint64_t ReuseSolutionCount = 0;
   uint64_t CacheRetainedCount = 0; ///< entries surviving edits via retarget
-  uint64_t WarmStartCount = 0; ///< opens served incrementally off the snapshot
   uint64_t EvictedCount = 0;   ///< sessions closed by the --max-sessions cap
   // Robustness telemetry ($/stats "health"): what the backpressure,
   // isolation, and degradation machinery is actually doing.

@@ -226,28 +226,6 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
   return Doc;
 }
 
-std::shared_ptr<const DocumentState>
-petal::documentFromSnapshot(const snapshot::LoadedSnapshot &Snap,
-                            size_t DocThreads) {
-  auto Doc = std::make_shared<DocumentState>();
-  Doc->Name = "<snapshot>";
-  Doc->Version = 0;
-  Doc->Text = Snap.SourceText;
-  Doc->Kind = DocumentState::BuildKind::Full;
-  Doc->Shape = Snap.Shape;
-  Doc->TS = Snap.TS;
-  Doc->P = Snap.P;
-  Doc->Idx = Snap.Idx;
-  Doc->Exec = std::make_shared<BatchExecutor>(*Doc->P, *Doc->Idx, DocThreads);
-  // Seed the deserialized solution and pin it now: tryIncrementalBuild
-  // reads it via sharedSolution() from whichever worker opens a matching
-  // document, and a pinned solution makes that a pure read.
-  Doc->Exec->adoptSolution(Snap.Solution);
-  Doc->Exec->fullSolution();
-  Doc->BuildMillis = Snap.LoadMillis;
-  return Doc;
-}
-
 bool petal::parseCompleteSpec(const json::Value &Params, CompleteSpec &Out,
                               std::string &Error) {
   if (!Params.isObject()) {

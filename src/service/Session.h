@@ -154,17 +154,6 @@ buildDocumentState(const std::string &Name, const std::string &Text,
                    std::shared_ptr<const BaseCorpus> Base = nullptr,
                    const AbortSignal *Abort = nullptr);
 
-/// Wraps a loaded snapshot as a query-ready DocumentState, the service's
-/// warm-start baseline: petal/open passes it to buildDocumentState as
-/// \p Prev, so a document whose type graph matches the snapshot corpus goes
-/// through the ordinary incremental path — sharing the mapped TypeSystem
-/// and frozen tables, and (for token-identical text) the deserialized
-/// abstract-type solution — and any mismatch degrades to a full build
-/// automatically. Safe to share across sessions: the solution is pinned
-/// here, so every later read through it is pure.
-std::shared_ptr<const DocumentState>
-documentFromSnapshot(const snapshot::LoadedSnapshot &Snap, size_t DocThreads);
-
 /// A petal/complete request after parameter validation: where, what, and
 /// the per-query knobs.
 struct CompleteSpec {

@@ -9,12 +9,12 @@
 /// The snapshot store: a versioned, checksummed, relocatable binary image of
 /// a fully frozen corpus, written once (corpus_explorer --save-snapshot,
 /// petal_snapshot_tool --from) and mapped read-only by any number of petald
-/// processes afterwards (petal_serve --snapshot). Loading skips everything
-/// that makes a cold start expensive — the relation-cache warm-up, the O(N²)
-/// dense distance matrices, the four reachability BFS matrices, the member
-/// and method-union CSR compactions, and the whole-corpus abstract-type
-/// solve — by adopting those tables straight out of the file mapping
-/// (zero-copy; the indexes pin the mapping via shared_ptr keep-alives).
+/// processes afterwards as their shared base corpus (petal_serve
+/// --base-snapshot, baseCorpusFromSnapshot below). Loading skips the O(N²)
+/// dense distance matrices, the four reachability matrices, the member and
+/// method-union CSR tables, and the whole-corpus abstract-type solve by
+/// adopting those tables straight out of the file mapping (zero-copy; the
+/// indexes pin the mapping via shared_ptr keep-alives).
 ///
 /// What the file does NOT contain is the AST: the Program and the
 /// abstract-type constraint sets are pointer-keyed arena structures with no

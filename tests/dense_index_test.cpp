@@ -10,8 +10,11 @@
 // representation change: every query they answer must be *value-identical*
 // to the legacy lazy path. These tests enforce that exhaustively — every
 // (type, type) pair, every member-edge list, every method-candidate list —
-// on two identically generated corpora, one frozen dense and one kept on
-// the warmed lazy path (FreezeOptions::MaxDenseBytes = 0). A concurrent
+// on pairs of identically generated corpora (all seven paper profiles, plus
+// one scale deep enough to hit the reachability depth cut-off), one frozen
+// dense and one kept on the warmed lazy path (FreezeOptions::MaxDenseBytes
+// = 0). The lazy path is an independent reference: freeze() fills the
+// dense tables directly, never from the lazy caches. A concurrent
 // stress case (run under TSan via scripts/ci.sh; the suite name matches
 // the IndexStress regex) hammers the lock-free tables from eight threads.
 //
@@ -20,13 +23,19 @@
 #include "TestCorpora.h"
 
 #include "code/ExprPrinter.h"
+#include "complete/BaseCorpus.h"
 #include "complete/Engine.h"
 #include "corpus/Generator.h"
+#include "corpus/SourceWriter.h"
 #include "parser/Frontend.h"
+#include "snapshot/Snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,112 +43,281 @@ using namespace petal;
 
 namespace {
 
-/// Two identically generated corpora (same profile, same seed): Dense is
-/// frozen into the flat tables, Legacy is warmed but kept on the lazy
-/// hash/vector path. Every index query must agree between the two.
-class DenseEquivalenceTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    ProjectProfile Prof = paperProjectProfiles(0.15)[2];
-
-    DenseTS = std::make_unique<TypeSystem>();
-    DenseP = std::make_unique<Program>(*DenseTS);
-    CorpusGenerator(Prof).generate(*DenseP);
-    Dense = std::make_unique<CompletionIndexes>(*DenseP);
-    Dense->freeze(); // default budget: dense tables
-
-    LegacyTS = std::make_unique<TypeSystem>();
-    LegacyP = std::make_unique<Program>(*LegacyTS);
-    CorpusGenerator(Prof).generate(*LegacyP);
-    Legacy = std::make_unique<CompletionIndexes>(*LegacyP);
-    Legacy->freeze(FreezeOptions{/*MaxDenseBytes=*/0}); // warmed lazy path
-
-    ASSERT_EQ(DenseTS->numTypes(), LegacyTS->numTypes());
-  }
-
+/// One corpus generated twice (same profile, same seed): Dense is frozen
+/// into the flat tables, Legacy is warmed but kept on the lazy hash/vector
+/// path. Every index query must agree between the two.
+struct CorpusPair {
+  std::string Label;
   std::unique_ptr<TypeSystem> DenseTS, LegacyTS;
   std::unique_ptr<Program> DenseP, LegacyP;
   std::unique_ptr<CompletionIndexes> Dense, Legacy;
 };
 
-TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
-  EXPECT_TRUE(Dense->frozen());
-  EXPECT_TRUE(DenseTS->denseDistancesFrozen());
-  EXPECT_TRUE(Dense->Members.frozen());
-  EXPECT_TRUE(Dense->Methods.frozen());
-  EXPECT_TRUE(Dense->Reach.frozen());
+std::unique_ptr<CorpusPair> makePair(const ProjectProfile &Prof,
+                                     double Scale) {
+  auto C = std::make_unique<CorpusPair>();
+  C->Label = Prof.Name + " @ " + std::to_string(Scale);
 
-  // Budget 0 keeps every index on the (warmed) lazy representation.
-  EXPECT_TRUE(Legacy->frozen());
-  EXPECT_FALSE(LegacyTS->denseDistancesFrozen());
-  EXPECT_FALSE(Legacy->Members.frozen());
-  EXPECT_FALSE(Legacy->Methods.frozen());
-  EXPECT_FALSE(Legacy->Reach.frozen());
+  C->DenseTS = std::make_unique<TypeSystem>();
+  C->DenseP = std::make_unique<Program>(*C->DenseTS);
+  CorpusGenerator(Prof).generate(*C->DenseP);
+  C->Dense = std::make_unique<CompletionIndexes>(*C->DenseP);
+  C->Dense->freeze(); // default budget: dense tables
+
+  C->LegacyTS = std::make_unique<TypeSystem>();
+  C->LegacyP = std::make_unique<Program>(*C->LegacyTS);
+  CorpusGenerator(Prof).generate(*C->LegacyP);
+  C->Legacy = std::make_unique<CompletionIndexes>(*C->LegacyP);
+  C->Legacy->freeze(FreezeOptions{/*MaxDenseBytes=*/0}); // warmed lazy path
+  return C;
+}
+
+/// Scale at which the reachability BFS outruns the default MaxDepth (8):
+/// PaintNet there has lookup chains 13 steps deep, so the direct row fill's
+/// depth cut-off is exercised, not just its full closures.
+constexpr double TruncatingScale = 0.5;
+
+/// The corpus pairs every DenseEquivalenceTest case walks: all seven paper
+/// profiles at scale 0.15, then PaintNet at TruncatingScale (last). Built
+/// once per test process.
+class DenseEquivalenceTest : public ::testing::Test {
+protected:
+  static void SetUpTestSuite() {
+    for (const ProjectProfile &Prof : paperProjectProfiles(0.15))
+      Pairs.push_back(makePair(Prof, 0.15));
+    Pairs.push_back(makePair(paperProjectProfiles(TruncatingScale)[0],
+                             TruncatingScale));
+    for (const auto &C : Pairs)
+      ASSERT_EQ(C->DenseTS->numTypes(), C->LegacyTS->numTypes()) << C->Label;
+  }
+  static void TearDownTestSuite() { Pairs.clear(); }
+
+  static std::vector<std::unique_ptr<CorpusPair>> Pairs;
+};
+
+std::vector<std::unique_ptr<CorpusPair>> DenseEquivalenceTest::Pairs;
+
+TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
+  ASSERT_EQ(Pairs.size(), paperProjectProfiles(0.15).size() + 1);
+  for (const auto &C : Pairs) {
+    SCOPED_TRACE(C->Label);
+    EXPECT_TRUE(C->Dense->frozen());
+    EXPECT_TRUE(C->DenseTS->denseDistancesFrozen());
+    EXPECT_TRUE(C->Dense->Members.frozen());
+    EXPECT_TRUE(C->Dense->Methods.frozen());
+    EXPECT_TRUE(C->Dense->Reach.frozen());
+
+    // Budget 0 keeps every index on the (warmed) lazy representation.
+    EXPECT_TRUE(C->Legacy->frozen());
+    EXPECT_FALSE(C->LegacyTS->denseDistancesFrozen());
+    EXPECT_FALSE(C->Legacy->Members.frozen());
+    EXPECT_FALSE(C->Legacy->Methods.frozen());
+    EXPECT_FALSE(C->Legacy->Reach.frozen());
+  }
 }
 
 TEST_F(DenseEquivalenceTest, TypeDistancesMatchLegacyOnEveryPair) {
-  size_t N = DenseTS->numTypes();
-  for (size_t F = 0; F != N; ++F)
-    for (size_t T = 0; T != N; ++T) {
-      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      ASSERT_EQ(DenseTS->implicitlyConvertible(From, To),
-                LegacyTS->implicitlyConvertible(From, To))
-          << DenseTS->qualifiedName(From) << " -> "
-          << DenseTS->qualifiedName(To);
-      ASSERT_EQ(DenseTS->typeDistance(From, To),
-                LegacyTS->typeDistance(From, To))
-          << DenseTS->qualifiedName(From) << " -> "
-          << DenseTS->qualifiedName(To);
-    }
+  for (const auto &C : Pairs) {
+    SCOPED_TRACE(C->Label);
+    const TypeSystem &DenseTS = *C->DenseTS, &LegacyTS = *C->LegacyTS;
+    size_t N = DenseTS.numTypes();
+    for (size_t F = 0; F != N; ++F)
+      for (size_t T = 0; T != N; ++T) {
+        TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
+        ASSERT_EQ(DenseTS.implicitlyConvertible(From, To),
+                  LegacyTS.implicitlyConvertible(From, To))
+            << DenseTS.qualifiedName(From) << " -> "
+            << DenseTS.qualifiedName(To);
+        ASSERT_EQ(DenseTS.typeDistance(From, To),
+                  LegacyTS.typeDistance(From, To))
+            << DenseTS.qualifiedName(From) << " -> "
+            << DenseTS.qualifiedName(To);
+      }
+  }
 }
 
 TEST_F(DenseEquivalenceTest, ReachabilityMatchesLegacyOnEveryPair) {
-  size_t N = DenseTS->numTypes();
-  for (size_t F = 0; F != N; ++F)
-    for (size_t T = 0; T != N; ++T) {
-      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      for (bool Methods : {false, true}) {
-        ASSERT_EQ(Dense->Reach.minLookups(From, To, Methods),
-                  Legacy->Reach.minLookups(From, To, Methods))
-            << "minLookups " << F << " -> " << T << " methods=" << Methods;
-        ASSERT_EQ(Dense->Reach.minLookupsToConvertible(From, To, Methods),
-                  Legacy->Reach.minLookupsToConvertible(From, To, Methods))
-            << "minLookupsToConvertible " << F << " -> " << T
-            << " methods=" << Methods;
+  for (const auto &C : Pairs) {
+    SCOPED_TRACE(C->Label);
+    const ReachabilityIndex &Dense = C->Dense->Reach;
+    const ReachabilityIndex &Legacy = C->Legacy->Reach;
+    size_t N = C->DenseTS->numTypes();
+    for (size_t F = 0; F != N; ++F)
+      for (size_t T = 0; T != N; ++T) {
+        TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
+        for (bool Methods : {false, true}) {
+          ASSERT_EQ(Dense.minLookups(From, To, Methods),
+                    Legacy.minLookups(From, To, Methods))
+              << "minLookups " << F << " -> " << T << " methods=" << Methods;
+          ASSERT_EQ(Dense.minLookupsToConvertible(From, To, Methods),
+                    Legacy.minLookupsToConvertible(From, To, Methods))
+              << "minLookupsToConvertible " << F << " -> " << T
+              << " methods=" << Methods;
+        }
       }
-    }
+  }
+
+  // The last pair must actually cut BFS runs off at the default depth: an
+  // unbounded index reaches some type in more than 8 lookups, and the
+  // frozen table reports that type unreachable.
+  const CorpusPair &Deepest = *Pairs.back();
+  ReachabilityIndex Unbounded(*Deepest.LegacyTS, Deepest.Legacy->Members,
+                              /*MaxDepth=*/64);
+  size_t Truncated = 0;
+  size_t N = Deepest.DenseTS->numTypes();
+  for (size_t F = 0; F != N; ++F)
+    for (bool Methods : {false, true})
+      for (const auto &[To, D] :
+           Unbounded.reachableFrom(static_cast<TypeId>(F), Methods))
+        if (D > 8) {
+          ++Truncated;
+          EXPECT_EQ(Deepest.Dense->Reach.minLookups(static_cast<TypeId>(F),
+                                                    To, Methods),
+                    std::nullopt);
+        }
+  EXPECT_GT(Truncated, 0u) << Deepest.Label
+                           << " no longer exercises the depth cut-off";
 }
 
 TEST_F(DenseEquivalenceTest, MemberEdgeListsMatchLegacyElementwise) {
-  size_t N = DenseTS->numTypes();
-  for (size_t T = 0; T != N; ++T) {
-    TypeId Ty = static_cast<TypeId>(T);
-    auto D = Dense->Members.edges(Ty);
-    auto L = Legacy->Members.edges(Ty);
-    ASSERT_EQ(D.size(), L.size()) << "type " << T;
-    ASSERT_EQ(Dense->Members.numFieldEdges(Ty),
-              Legacy->Members.numFieldEdges(Ty));
-    for (size_t I = 0; I != D.size(); ++I) {
-      ASSERT_EQ(D[I].IsField, L[I].IsField) << "type " << T << " edge " << I;
-      ASSERT_EQ(D[I].Field, L[I].Field);
-      ASSERT_EQ(D[I].Method, L[I].Method);
-      ASSERT_EQ(D[I].ResultType, L[I].ResultType);
+  for (const auto &C : Pairs) {
+    SCOPED_TRACE(C->Label);
+    size_t N = C->DenseTS->numTypes();
+    for (size_t T = 0; T != N; ++T) {
+      TypeId Ty = static_cast<TypeId>(T);
+      auto D = C->Dense->Members.edges(Ty);
+      auto L = C->Legacy->Members.edges(Ty);
+      ASSERT_EQ(D.size(), L.size()) << "type " << T;
+      ASSERT_EQ(C->Dense->Members.numFieldEdges(Ty),
+                C->Legacy->Members.numFieldEdges(Ty));
+      for (size_t I = 0; I != D.size(); ++I) {
+        ASSERT_EQ(D[I].IsField, L[I].IsField) << "type " << T << " edge " << I;
+        ASSERT_EQ(D[I].Field, L[I].Field);
+        ASSERT_EQ(D[I].Method, L[I].Method);
+        ASSERT_EQ(D[I].ResultType, L[I].ResultType);
+      }
     }
   }
 }
 
 TEST_F(DenseEquivalenceTest, MethodCandidateListsMatchLegacyInOrder) {
-  size_t N = DenseTS->numTypes();
+  for (const auto &C : Pairs) {
+    SCOPED_TRACE(C->Label);
+    size_t N = C->DenseTS->numTypes();
+    for (size_t T = 0; T != N; ++T) {
+      TypeId Ty = static_cast<TypeId>(T);
+      auto D = C->Dense->Methods.candidatesForArgType(Ty);
+      auto L = C->Legacy->Methods.candidatesForArgType(Ty);
+      ASSERT_EQ(D.size(), L.size()) << "type " << T;
+      // Order is part of the contract: the pre-merged spans must preserve
+      // the nearer-supertype-first BFS order the ranking relies on.
+      for (size_t I = 0; I != D.size(); ++I)
+        ASSERT_EQ(D[I], L[I]) << "type " << T << " slot " << I;
+    }
+  }
+}
+
+/// The overlay form of the same property: a document layered over a frozen
+/// base builds its method unions, base-type appendages and reachability
+/// delta rows directly, and must agree with the lazy overlay path entry
+/// for entry. The document subclasses a base class, holds base- and
+/// document-typed members, and declares methods over both, so every
+/// overlay table is non-trivial.
+TEST(DenseOverlayEquivalenceTest, OverlayTablesMatchTheLazyOverlayPath) {
+  std::string BaseSrc;
+  {
+    TypeSystem Gen;
+    Program GenP(Gen);
+    CorpusGenerator(paperProjectProfiles(TruncatingScale)[0]).generate(GenP);
+    BaseSrc = writeProgramSource(GenP);
+  }
+  std::string Error;
+  std::shared_ptr<const BaseCorpus> Base = baseCorpusFromSource(BaseSrc, Error);
+  ASSERT_NE(Base, nullptr) << Error;
+
+  // A base class with supertypes to inherit from, and a second base
+  // reference type for members and parameters.
+  const TypeSystem &BTS = *Base->TS;
+  std::string Parent, Other;
+  for (size_t T = 0; T != BTS.numTypes(); ++T) {
+    TypeId Ty = static_cast<TypeId>(T);
+    if (BTS.isBuiltinType(Ty) || !BTS.isReferenceType(Ty))
+      continue;
+    if (Parent.empty() && BTS.type(Ty).Kind == TypeKind::Class &&
+        !BTS.immediateSupertypes(Ty).empty())
+      Parent = BTS.qualifiedName(Ty);
+    else
+      Other = BTS.qualifiedName(Ty);
+  }
+  ASSERT_FALSE(Parent.empty() || Other.empty());
+  const std::string Doc = "namespace OverlayDoc {\n"
+                          "  class Widget : " + Parent + " {\n"
+                          "    " + Other + " Anchor;\n"
+                          "    OverlayDoc.Gadget Peer;\n"
+                          "    " + Parent + " Owner();\n"
+                          "    static " + Other + " Convert(" + Parent +
+                          " a, OverlayDoc.Widget w);\n"
+                          "    void Use(" + Other + " b, int n);\n"
+                          "  }\n"
+                          "  class Gadget : OverlayDoc.Widget {\n"
+                          "    OverlayDoc.Widget Parent;\n"
+                          "    static OverlayDoc.Gadget Make(" + Other +
+                          " seed);\n"
+                          "    static int Inspect(" + Parent + " p);\n"
+                          "  }\n"
+                          "}\n";
+
+  struct Overlay {
+    std::unique_ptr<TypeSystem> TS;
+    std::unique_ptr<Program> P;
+    std::unique_ptr<CompletionIndexes> Idx;
+  };
+  auto Build = [&](size_t MaxDenseBytes) {
+    Overlay O;
+    DiagnosticEngine Diags;
+    SynFile File;
+    EXPECT_TRUE(parseSourceFile(Doc, File, Diags));
+    O.TS = std::make_unique<TypeSystem>(Base->TS);
+    O.P = std::make_unique<Program>(*O.TS);
+    EXPECT_TRUE(resolveParsedFile(File, *O.P, Diags));
+    O.Idx = std::make_unique<CompletionIndexes>(*O.P, Base);
+    O.Idx->freeze(FreezeOptions{MaxDenseBytes});
+    return O;
+  };
+  Overlay Dense = Build(256u << 20), Lazy = Build(0);
+  ASSERT_TRUE(Dense.Idx->Methods.frozen() && Dense.Idx->Reach.frozen());
+  ASSERT_FALSE(Lazy.Idx->Methods.frozen() || Lazy.Idx->Reach.frozen());
+  size_t N = Dense.TS->numTypes(), NumBase = BTS.numTypes();
+  ASSERT_EQ(N, Lazy.TS->numTypes());
+  ASSERT_GT(N, NumBase);
+
+  size_t Appended = 0;
   for (size_t T = 0; T != N; ++T) {
     TypeId Ty = static_cast<TypeId>(T);
-    auto D = Dense->Methods.candidatesForArgType(Ty);
-    auto L = Legacy->Methods.candidatesForArgType(Ty);
+    auto D = Dense.Idx->Methods.candidatesForArgType(Ty);
+    auto L = Lazy.Idx->Methods.candidatesForArgType(Ty);
     ASSERT_EQ(D.size(), L.size()) << "type " << T;
-    // Order is part of the contract: the pre-merged spans must preserve
-    // the nearer-supertype-first BFS order the ranking relies on.
     for (size_t I = 0; I != D.size(); ++I)
       ASSERT_EQ(D[I], L[I]) << "type " << T << " slot " << I;
+    if (T < NumBase &&
+        D.size() > Base->Idx->Methods.candidatesForArgType(Ty).size())
+      ++Appended;
   }
+  EXPECT_GT(Appended, 0u) << "no base type gained an overlay method";
+
+  for (size_t F = NumBase; F != N; ++F)
+    for (size_t T = 0; T != N; ++T) {
+      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
+      for (bool Methods : {false, true}) {
+        ASSERT_EQ(Dense.Idx->Reach.minLookups(From, To, Methods),
+                  Lazy.Idx->Reach.minLookups(From, To, Methods))
+            << "minLookups " << F << " -> " << T << " methods=" << Methods;
+        ASSERT_EQ(Dense.Idx->Reach.minLookupsToConvertible(From, To, Methods),
+                  Lazy.Idx->Reach.minLookupsToConvertible(From, To, Methods))
+            << "minLookupsToConvertible " << F << " -> " << T
+            << " methods=" << Methods;
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

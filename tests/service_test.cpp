@@ -882,127 +882,6 @@ TEST(ServiceTest, ConcurrentEditsAndQueriesStayConsistent) {
 }
 
 //===----------------------------------------------------------------------===//
-// Snapshot warm start
-//===----------------------------------------------------------------------===//
-
-/// Builds \p Text cold, snapshots it to a temp file, and loads it back —
-/// the corpus_explorer --save-snapshot / petal_serve --snapshot round trip
-/// in-process.
-std::shared_ptr<const snapshot::LoadedSnapshot>
-loadedSnapshotOf(const std::string &Text, const std::string &Name) {
-  DiagnosticEngine Diags;
-  SynFile File;
-  EXPECT_TRUE(parseSourceFile(Text, File, Diags));
-  DocumentShape Shape = shapeOfFile(File);
-  TypeSystem TS;
-  Program P(TS);
-  EXPECT_TRUE(resolveParsedFile(File, P, Diags));
-  CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
-  AbsTypeSolution Solution = Idx.Infer.solve();
-
-  const std::string Path = testing::TempDir() + "petal_svc_" + Name;
-  std::string Error;
-  EXPECT_TRUE(
-      snapshot::writeSnapshot(Path, Text, Shape, Idx, Solution, Error))
-      << Error;
-  auto Snap = snapshot::loadSnapshot(Path, Error);
-  EXPECT_NE(Snap, nullptr) << Error;
-  return Snap;
-}
-
-PetalService::Options warmOptions(
-    const std::shared_ptr<const snapshot::LoadedSnapshot> &Snap) {
-  PetalService::Options O = testOptions();
-  O.Snapshot.WarmStart = documentFromSnapshot(*Snap, O.DocThreads);
-  O.Snapshot.Loaded = true;
-  O.Snapshot.LoadMillis = Snap->LoadMillis;
-  O.Snapshot.Bytes = Snap->Bytes;
-  O.Snapshot.Mapped = Snap->Mapped;
-  return O;
-}
-
-TEST(ServiceSnapshotTest, WarmStartOpenIsIncrementalAndCountedInStats) {
-  auto Snap = loadedSnapshotOf(corpora::GeometryCorpus, "warm.snap");
-  ASSERT_NE(Snap, nullptr);
-  InProcessClient C(warmOptions(Snap));
-
-  // Opening the snapshot corpus verbatim rides the incremental path — no
-  // cold build anywhere — and the answer still matches the direct engine
-  // bit for bit.
-  Value OpenResp =
-      C.call("petal/open", openParams("geo.cs", corpora::GeometryCorpus, 1));
-  ASSERT_EQ(errorCode(OpenResp), 0) << OpenResp.write();
-  EXPECT_EQ(OpenResp.find("result")->getString("build"), "incremental-noop");
-
-  Value Resp = C.call("petal/complete",
-                      completeParams("geo.cs", "EllipseArc", "Examine",
-                                     "Distance(point, ?)", 10));
-  ASSERT_EQ(errorCode(Resp), 0) << Resp.write();
-  EXPECT_EQ(completionsOf(Resp),
-            directComplete(corpora::GeometryCorpus, "EllipseArc", "Examine",
-                           "Distance(point, ?)", 10));
-
-  Value Stats = C.callResult("$/stats", Value::object());
-  const Value *SnapV = Stats.find("snapshot");
-  ASSERT_NE(SnapV, nullptr) << Stats.write();
-  EXPECT_TRUE(SnapV->getBool("loaded", false));
-  EXPECT_GT(SnapV->getInt("bytes", 0), 0);
-  EXPECT_EQ(SnapV->getInt("warmStarts", -1), 1);
-  EXPECT_EQ(SnapV->find("fallbackReason"), nullptr);
-  EXPECT_EQ(Stats.find("documents")
-                ->find("builds")
-                ->getInt("incremental", -1),
-            1);
-}
-
-TEST(ServiceSnapshotTest, MismatchedOpenFallsBackToAFullBuild) {
-  auto Snap = loadedSnapshotOf(corpora::GeometryCorpus, "mismatch.snap");
-  ASSERT_NE(Snap, nullptr);
-  InProcessClient C(warmOptions(Snap));
-
-  // A document whose type graph differs from the snapshot corpus must get
-  // an ordinary full build — correct answers, zero warm starts claimed.
-  const std::string Other = std::string(corpora::GeometryCorpus) +
-                            "class Extra {\n"
-                            "  System.Windows.Point Spot;\n"
-                            "}\n";
-  Value OpenResp = C.call("petal/open", openParams("other.cs", Other, 1));
-  ASSERT_EQ(errorCode(OpenResp), 0) << OpenResp.write();
-  EXPECT_EQ(OpenResp.find("result")->getString("build"), "full");
-
-  Value Resp = C.call("petal/complete",
-                      completeParams("other.cs", "EllipseArc", "Examine",
-                                     "?({point})", 10));
-  ASSERT_EQ(errorCode(Resp), 0) << Resp.write();
-
-  Value Stats = C.callResult("$/stats", Value::object());
-  EXPECT_EQ(Stats.find("snapshot")->getInt("warmStarts", -1), 0);
-}
-
-TEST(ServiceSnapshotTest, FallbackReasonIsReportedWhenRunningCold) {
-  // petal_serve with a rejected --snapshot: no warm-start state, but the
-  // reason is preserved for $/stats so the operator can see why the
-  // daemon is cold.
-  PetalService::Options O = testOptions();
-  O.Snapshot.FallbackReason = "snapshot: bad magic (not a snapshot file)";
-  InProcessClient C(O);
-
-  Value OpenResp =
-      C.call("petal/open", openParams("geo.cs", corpora::GeometryCorpus, 1));
-  ASSERT_EQ(errorCode(OpenResp), 0);
-  EXPECT_EQ(OpenResp.find("result")->getString("build"), "full");
-
-  Value Stats = C.callResult("$/stats", Value::object());
-  const Value *SnapV = Stats.find("snapshot");
-  ASSERT_NE(SnapV, nullptr);
-  EXPECT_FALSE(SnapV->getBool("loaded", true));
-  EXPECT_EQ(SnapV->getInt("warmStarts", -1), 0);
-  EXPECT_EQ(SnapV->getString("fallbackReason"),
-            "snapshot: bad magic (not a snapshot file)");
-}
-
-//===----------------------------------------------------------------------===//
 // FdStreamBuf: the fd <-> iostream bridge petal_serve's TCP mode uses
 //===----------------------------------------------------------------------===//
 

@@ -20,6 +20,7 @@
 
 #include "TestCorpora.h"
 
+#include "complete/BaseCorpus.h"
 #include "service/Session.h"
 #include "support/Checksum.h"
 
@@ -35,17 +36,21 @@ using namespace petal;
 
 namespace {
 
-/// GeometryCorpus plus a second body-bearing class — the same corpus the
-/// incremental-build property test uses, so the two suites police the same
-/// sharing machinery from both ends.
-std::string baseText() {
-  return std::string(corpora::GeometryCorpus) +
-         "class Scratch {\n"
+/// A body-bearing client class over the geometry framework types.
+std::string scratchText() {
+  return "class Scratch {\n"
          "  void Play(System.Windows.Point point,\n"
          "            DynamicGeometry.ShapeStyle style) {\n"
          "    return;\n"
          "  }\n"
          "}\n";
+}
+
+/// GeometryCorpus plus the Scratch class — the same corpus the
+/// incremental-build property test uses, so the two suites police the same
+/// tables from both ends.
+std::string baseText() {
+  return std::string(corpora::GeometryCorpus) + scratchText();
 }
 
 /// Replaces the last occurrence of \p From in \p S with \p To.
@@ -93,6 +98,17 @@ std::vector<CompleteSpec> queryBattery() {
   CompleteSpec NoAbs = spec("EllipseArc", "Examine", "?({point})");
   NoAbs.Opts.UseAbstractTypes = false;
   Qs.push_back(NoAbs);
+  return Qs;
+}
+
+/// The same battery, every query moved to Scratch.Play: the code sites an
+/// overlay document over a snapshot-backed base serves.
+std::vector<CompleteSpec> overlayBattery() {
+  std::vector<CompleteSpec> Qs = queryBattery();
+  for (CompleteSpec &Q : Qs) {
+    Q.Class = "Scratch";
+    Q.Method = "Play";
+  }
   return Qs;
 }
 
@@ -167,15 +183,54 @@ std::unique_ptr<DocumentState> build(const std::string &Text, int64_t V,
   return Doc;
 }
 
-/// Writes a snapshot of baseText() and loads it back. Asserts on failure.
+/// Writes a snapshot of \p Text and loads it back. Asserts on failure.
 std::shared_ptr<const snapshot::LoadedSnapshot>
-savedAndLoaded(const std::string &Name, bool ForceBufferedRead = false) {
+savedAndLoaded(const std::string &Name, bool ForceBufferedRead = false,
+               const std::string &Text = baseText()) {
   const std::string Path = tmpPath(Name);
   std::string Error;
-  EXPECT_TRUE(writeCorpusSnapshot(baseText(), Path, Error)) << Error;
+  EXPECT_TRUE(writeCorpusSnapshot(Text, Path, Error)) << Error;
   auto Snap = snapshot::loadSnapshot(Path, Error, ForceBufferedRead);
   EXPECT_NE(Snap, nullptr) << Error;
   return Snap;
+}
+
+/// The loaded corpus as a query-ready DocumentState, so runCompletion can
+/// query its own code sites: the mapped TypeSystem and tables, and the
+/// deserialized abstract-type solution.
+std::unique_ptr<DocumentState>
+loadedDocument(const snapshot::LoadedSnapshot &Snap) {
+  auto Doc = std::make_unique<DocumentState>();
+  Doc->Name = "<snapshot>";
+  Doc->Text = Snap.SourceText;
+  Doc->Shape = Snap.Shape;
+  Doc->TS = Snap.TS;
+  Doc->P = Snap.P;
+  Doc->Idx = Snap.Idx;
+  Doc->Exec = std::make_shared<BatchExecutor>(*Doc->P, *Doc->Idx,
+                                              /*DocThreads=*/1);
+  Doc->Exec->adoptSolution(Snap.Solution);
+  return Doc;
+}
+
+/// A snapshot of GeometryCorpus alone, adopted as a workspace base corpus
+/// (the petal_serve --base-snapshot route); Scratch documents overlay it.
+std::shared_ptr<const BaseCorpus> snapshotBase(const std::string &Name) {
+  auto Snap = savedAndLoaded(Name, /*ForceBufferedRead=*/false,
+                             corpora::GeometryCorpus);
+  return Snap ? baseCorpusFromSnapshot(Snap) : nullptr;
+}
+
+std::unique_ptr<DocumentState>
+buildOverlay(const std::string &Doc,
+             const std::shared_ptr<const BaseCorpus> &Base,
+             const DocumentState *Prev = nullptr) {
+  std::string Error;
+  std::unique_ptr<DocumentState> D = buildDocumentState(
+      "doc.cs", Doc, Prev ? Prev->Version + 1 : 1, /*DocThreads=*/1, Error,
+      Prev, Base);
+  EXPECT_NE(D, nullptr) << Error;
+  return D;
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,19 +240,11 @@ savedAndLoaded(const std::string &Name, bool ForceBufferedRead = false) {
 TEST(SnapshotTest, WarmStartOpenMatchesFullBuildBitForBit) {
   auto Snap = savedAndLoaded("roundtrip.snap");
   ASSERT_NE(Snap, nullptr);
-  std::shared_ptr<const DocumentState> Warm =
-      documentFromSnapshot(*Snap, /*DocThreads=*/1);
-  ASSERT_NE(Warm, nullptr);
-
-  // Opening the snapshot corpus verbatim takes the incremental-noop path:
-  // the mapped TypeSystem, the frozen tables, and the deserialized
-  // abstract-type solution are all adopted, none rebuilt.
-  std::unique_ptr<DocumentState> Inc = build(baseText(), 1, Warm.get());
-  ASSERT_NE(Inc, nullptr);
-  EXPECT_EQ(Inc->Kind, DocumentState::BuildKind::IncrementalNoop);
-  EXPECT_EQ(Inc->TS.get(), Snap->TS.get());
-  EXPECT_TRUE(Inc->Idx->sharesTypeGraphTables());
-  EXPECT_EQ(Inc->Exec->sharedSolution(), Warm->Exec->sharedSolution());
+  // Nothing is rebuilt: the loaded corpus answers from the mapped tables
+  // and the deserialized solution.
+  std::unique_ptr<DocumentState> Warm = loadedDocument(*Snap);
+  EXPECT_TRUE(Warm->Idx->frozen());
+  EXPECT_EQ(Warm->Exec->sharedSolution(), Snap->Solution);
 
   std::unique_ptr<DocumentState> Fresh = build(baseText(), 1, nullptr);
   ASSERT_NE(Fresh, nullptr);
@@ -206,7 +253,7 @@ TEST(SnapshotTest, WarmStartOpenMatchesFullBuildBitForBit) {
   for (const CompleteSpec &Q : queryBattery()) {
     SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query + " rank=" +
                  Q.Opts.Rank.spec());
-    QueryOutcome A = runCompletion(*Inc, Q);
+    QueryOutcome A = runCompletion(*Warm, Q);
     QueryOutcome B = runCompletion(*Fresh, Q);
     ASSERT_TRUE(A.Ok && B.Ok) << A.ErrMsg << " / " << B.ErrMsg;
     EXPECT_EQ(A.Completions.write(), B.Completions.write());
@@ -215,19 +262,23 @@ TEST(SnapshotTest, WarmStartOpenMatchesFullBuildBitForBit) {
 }
 
 TEST(SnapshotTest, EditedOpenOverSnapshotStaysBitIdentical) {
-  // A body edit relative to the snapshot corpus: the mapped type-graph
-  // tables still carry the query, only the code layer and the solution are
-  // rebuilt. A type-graph edit must fall all the way back to a full build.
-  auto Snap = savedAndLoaded("edited.snap");
-  ASSERT_NE(Snap, nullptr);
-  std::shared_ptr<const DocumentState> Warm =
-      documentFromSnapshot(*Snap, /*DocThreads=*/1);
+  // A document open over a snapshot-backed base, then edited: a body edit
+  // shares the overlay's type-graph tables and rebuilds only the code layer
+  // and the solution; a type-graph edit rebuilds the overlay in full. Each
+  // version must answer exactly like a monolithic cold build of base +
+  // document.
+  std::shared_ptr<const BaseCorpus> Base = snapshotBase("edited.snap");
+  ASSERT_NE(Base, nullptr);
 
   const std::string BodyEdit =
-      replaceLast(baseText(), "return;", "var tmp = point;\n    return;");
-  const std::string GraphEdit = baseText() + "class Extra {\n"
-                                             "  System.Windows.Point Spot;\n"
-                                             "}\n";
+      replaceLast(scratchText(), "return;", "var tmp = point;\n    return;");
+  const std::string GraphEdit = scratchText() + "class Extra {\n"
+                                                "  System.Windows.Point Spot;\n"
+                                                "}\n";
+  std::unique_ptr<DocumentState> Open = buildOverlay(scratchText(), Base);
+  ASSERT_NE(Open, nullptr);
+  EXPECT_EQ(Open->Kind, DocumentState::BuildKind::Full);
+  EXPECT_EQ(Open->TS->baseLayer(), Base->TS.get());
 
   struct Case {
     const char *Name;
@@ -239,18 +290,20 @@ TEST(SnapshotTest, EditedOpenOverSnapshotStaysBitIdentical) {
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
-    std::unique_ptr<DocumentState> Inc = build(*C.Text, 1, Warm.get());
-    std::unique_ptr<DocumentState> Fresh = build(*C.Text, 1, nullptr);
-    ASSERT_TRUE(Inc && Fresh);
-    EXPECT_EQ(Inc->Kind, C.Want);
-    if (Inc->incremental())
-      EXPECT_EQ(Inc->TS.get(), Snap->TS.get());
+    std::unique_ptr<DocumentState> Edited =
+        buildOverlay(*C.Text, Base, Open.get());
+    std::unique_ptr<DocumentState> Fresh =
+        build(std::string(corpora::GeometryCorpus) + *C.Text, 1, nullptr);
+    ASSERT_TRUE(Edited && Fresh);
+    EXPECT_EQ(Edited->Kind, C.Want);
+    EXPECT_EQ(Edited->Base, Base);
+    if (Edited->incremental())
+      EXPECT_EQ(Edited->TS.get(), Open->TS.get());
     else
-      EXPECT_NE(Inc->TS.get(), Snap->TS.get());
-    for (const CompleteSpec &Q : queryBattery()) {
-      SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query + " rank=" +
-                   Q.Opts.Rank.spec());
-      QueryOutcome A = runCompletion(*Inc, Q);
+      EXPECT_NE(Edited->TS.get(), Open->TS.get());
+    for (const CompleteSpec &Q : overlayBattery()) {
+      SCOPED_TRACE(Q.Query + " rank=" + Q.Opts.Rank.spec());
+      QueryOutcome A = runCompletion(*Edited, Q);
       QueryOutcome B = runCompletion(*Fresh, Q);
       ASSERT_TRUE(A.Ok && B.Ok) << A.ErrMsg << " / " << B.ErrMsg;
       EXPECT_EQ(A.Completions.write(), B.Completions.write());
@@ -290,15 +343,8 @@ TEST(SnapshotTest, BufferedReadFallbackMatchesTheMapping) {
   EXPECT_TRUE(Mapped->Mapped);
   EXPECT_EQ(Buffered->Bytes, Mapped->Bytes);
 
-  std::shared_ptr<const DocumentState> WarmA =
-      documentFromSnapshot(*Mapped, 1);
-  std::shared_ptr<const DocumentState> WarmB =
-      documentFromSnapshot(*Buffered, 1);
-  std::unique_ptr<DocumentState> A = build(baseText(), 1, WarmA.get());
-  std::unique_ptr<DocumentState> B = build(baseText(), 1, WarmB.get());
-  ASSERT_TRUE(A && B);
-  EXPECT_EQ(A->Kind, DocumentState::BuildKind::IncrementalNoop);
-  EXPECT_EQ(B->Kind, DocumentState::BuildKind::IncrementalNoop);
+  std::unique_ptr<DocumentState> A = loadedDocument(*Mapped);
+  std::unique_ptr<DocumentState> B = loadedDocument(*Buffered);
   for (const CompleteSpec &Q : queryBattery()) {
     QueryOutcome RA = runCompletion(*A, Q);
     QueryOutcome RB = runCompletion(*B, Q);
@@ -308,34 +354,33 @@ TEST(SnapshotTest, BufferedReadFallbackMatchesTheMapping) {
 }
 
 TEST(SnapshotTest, ConcurrentQueriesOverOneMappingStayIdentical) {
-  // Eight DocumentStates all aliasing one snapshot's mapped tables, each
-  // queried from its own thread (sessions are strands: concurrency is
-  // across DocumentStates, never within one), checked against fresh-built
-  // twins computed serially beforehand. TSan must observe no races on the
+  // Eight overlay documents over one snapshot-backed base, so all of them
+  // read the same mapped tables and solution, each queried from its own
+  // thread (sessions are strands: concurrency is across DocumentStates,
+  // never within one), checked against monolithic cold-built twins
+  // computed serially beforehand. TSan must observe no races on the
   // mapped tables or the shared solution.
-  auto Snap = savedAndLoaded("concurrent.snap");
-  ASSERT_NE(Snap, nullptr);
-  std::shared_ptr<const DocumentState> Warm =
-      documentFromSnapshot(*Snap, /*DocThreads=*/1);
+  std::shared_ptr<const BaseCorpus> Base = snapshotBase("concurrent.snap");
+  ASSERT_NE(Base, nullptr);
 
   constexpr int NumThreads = 8;
-  const std::vector<CompleteSpec> Qs = queryBattery();
+  const std::vector<CompleteSpec> Qs = overlayBattery();
 
   std::vector<std::unique_ptr<DocumentState>> Docs;
   std::vector<std::vector<std::string>> Want(NumThreads);
   for (int I = 0; I != NumThreads; ++I) {
-    std::string Text = baseText();
-    if (I != 0) { // thread 0 queries the snapshot corpus verbatim
+    std::string Text = scratchText();
+    if (I != 0) { // thread 0 queries the unedited document
       std::string Body = "var tmp = point;\n    ";
       for (int J = 1; J != I; ++J)
         Body += "var extra" + std::to_string(J) + " = point;\n    ";
       Text = replaceLast(Text, "return;", Body + "return;");
     }
-    std::unique_ptr<DocumentState> D = build(Text, 1, Warm.get());
+    std::unique_ptr<DocumentState> D = buildOverlay(Text, Base);
     ASSERT_NE(D, nullptr);
-    ASSERT_TRUE(D->incremental());
-    ASSERT_EQ(D->TS.get(), Snap->TS.get());
-    std::unique_ptr<DocumentState> Fresh = build(Text, 1, nullptr);
+    ASSERT_EQ(D->TS->baseLayer(), Base->TS.get());
+    std::unique_ptr<DocumentState> Fresh =
+        build(std::string(corpora::GeometryCorpus) + Text, 1, nullptr);
     ASSERT_NE(Fresh, nullptr);
     for (const CompleteSpec &Q : Qs) {
       QueryOutcome O = runCompletion(*Fresh, Q);
