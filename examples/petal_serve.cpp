@@ -32,6 +32,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 using namespace petal;
 
 namespace {
@@ -77,9 +81,25 @@ int serveTcp(uint16_t Port, const PetalService::Options &Opts) {
   return 0;
 }
 
+/// Fixes glibc's mmap and trim thresholds for the daemon. Every completion
+/// allocates its candidates in fresh arenas of up to 1 MiB slabs and frees
+/// them when it answers; an argument query takes several MiB. Under
+/// glibc's dynamic thresholds, which only rise when a large mapped block
+/// is freed, those slabs are mapped, or the heap top is trimmed after the
+/// query, and the next query faults all of its pages in again. With these
+/// fixed sizes freed memory stays in the heap, where any later allocation
+/// reuses it, not only the next query's.
+void keepQueryMemoryInTheHeap() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 8 << 20);
+  mallopt(M_TRIM_THRESHOLD, 16 << 20);
+#endif
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
+  keepQueryMemoryInTheHeap();
   PetalService::Options Opts;
   size_t TcpPort = 0;
   bool UseTcp = false;

@@ -22,9 +22,10 @@
 #      the service's session handoff.
 #   3. AddressSanitizer (-DPETAL_SANITIZE=address): the same service tests
 #      plus the parser/robustness suites, where lifetime bugs would live
-#      (documents swapped under in-flight requests, cached payloads
-#      outliving their sessions, mapped tables outliving their mapping,
-#      overlays outliving or outlived by their base corpus), and a
+#      (syntax trees shared between document versions, documents swapped
+#      under in-flight requests, cached payloads outliving their sessions,
+#      mapped tables outliving their mapping, overlays outliving or
+#      outlived by their base corpus), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -88,7 +89,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"

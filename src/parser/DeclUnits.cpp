@@ -141,23 +141,31 @@ bool DocumentShape::unitUnchanged(const DocumentShape &Prev,
          Now->BodyHash == Was->BodyHash;
 }
 
-DocumentShape petal::shapeOfFile(const SynFile &File) {
-  DocumentShape Shape;
-  Shape.Units.reserve(File.Types.size());
+void DocumentShape::combineUnits() {
   Hasher Graph, Code;
-  for (const SynType &T : File.Types) {
-    DeclUnit U;
-    U.QualName = T.NamespaceName.empty()
-                     ? T.Name
-                     : T.NamespaceName + "." + T.Name;
-    U.SigHash = sigHashOf(T);
-    U.BodyHash = bodyHashOf(T);
+  for (const DeclUnit &U : Units) {
     Graph.u64(U.SigHash);
     Code.u64(U.SigHash);
     Code.u64(U.BodyHash);
-    Shape.Units.push_back(std::move(U));
   }
-  Shape.TypeGraphHash = Graph.get();
-  Shape.CodeHash = Code.get();
+  TypeGraphHash = Graph.get();
+  CodeHash = Code.get();
+}
+
+DeclUnit petal::declUnitOf(const SynType &T) {
+  DeclUnit U;
+  U.QualName =
+      T.NamespaceName.empty() ? T.Name : T.NamespaceName + "." + T.Name;
+  U.SigHash = sigHashOf(T);
+  U.BodyHash = bodyHashOf(T);
+  return U;
+}
+
+DocumentShape petal::shapeOfFile(const SynFile &File) {
+  DocumentShape Shape;
+  Shape.Units.reserve(File.Types.size());
+  for (const auto &T : File.Types)
+    Shape.Units.push_back(declUnitOf(*T));
+  Shape.combineUnits();
   return Shape;
 }

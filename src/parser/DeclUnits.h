@@ -21,7 +21,10 @@
 ///
 /// Hashing happens on the *syntax* tree, after lexing, so whitespace and
 /// comments never perturb a hash — a reformat is a no-op edit by
-/// construction. The ordered combination matters: TypeIds are assigned in
+/// construction. A unit's hashes depend on its tree alone, so an edit
+/// that reuses a declaration's tree (DeclSpans.h) reuses its hashes too
+/// and rehashes only the declarations it reparsed; combineUnits() then
+/// rebuilds the two document hashes from the units. The ordered combination matters: TypeIds are assigned in
 /// declaration order, so the type-graph fingerprint hashes the sequence,
 /// not the set. The service diffs these shapes across versions to decide
 /// how much of the previous DocumentState an edit can share (see
@@ -70,7 +73,16 @@ struct DocumentShape {
   /// are unchanged.
   bool unitUnchanged(const DocumentShape &Prev,
                      const std::string &QualName) const;
+
+  /// Recomputes TypeGraphHash and CodeHash from Units. The combined hashes
+  /// are a function of the unit hashes alone, so a shape assembled from
+  /// reused and freshly hashed units equals the shape of a whole-file
+  /// parse of the same text.
+  void combineUnits();
 };
+
+/// Hashes one type declaration.
+DeclUnit declUnitOf(const SynType &T);
 
 /// Computes the shape of a parsed file.
 DocumentShape shapeOfFile(const SynFile &File);

@@ -26,11 +26,12 @@ namespace petal {
 bool loadProgramText(std::string_view Source, Program &P,
                      DiagnosticEngine &Diags);
 
-/// Parses \p Source to a syntax tree without resolving it. The split entry
-/// point for callers that need the SynFile itself — the service hashes it
-/// into a DocumentShape (see DeclUnits.h) before deciding between
-/// resolveParsedFile and resolveParsedFileReusingDecls, so the text is
-/// lexed and parsed exactly once per edit.
+/// Parses \p Source, whole, to a syntax tree without resolving it. The
+/// split entry point for callers that need the SynFile itself. The
+/// service parses a document declaration by declaration instead
+/// (DeclSpans.h) and comes here for what that cannot prove: a text that
+/// does not split, or a build that failed, whose diagnostics must be a
+/// whole-file parse's.
 bool parseSourceFile(std::string_view Source, SynFile &File,
                      DiagnosticEngine &Diags);
 

@@ -7,8 +7,7 @@
 
 #include "parser/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <algorithm>
 
 using namespace petal;
 
@@ -92,28 +91,58 @@ const char *petal::tokKindName(TokKind Kind) {
   return "unknown token";
 }
 
-static const std::unordered_map<std::string_view, TokKind> &keywordMap() {
-  static const std::unordered_map<std::string_view, TokKind> Map = {
-      {"namespace", TokKind::KwNamespace},
-      {"class", TokKind::KwClass},
-      {"interface", TokKind::KwInterface},
-      {"struct", TokKind::KwStruct},
-      {"enum", TokKind::KwEnum},
-      {"static", TokKind::KwStatic},
-      {"void", TokKind::KwVoid},
-      {"var", TokKind::KwVar},
-      {"return", TokKind::KwReturn},
-      {"this", TokKind::KwThis},
-      {"true", TokKind::KwTrue},
-      {"false", TokKind::KwFalse},
-      {"null", TokKind::KwNull},
-      {"comparable", TokKind::KwComparable},
-  };
-  return Map;
+// A switch on the length, then a compare against the few keywords of that
+// length.
+TokKind petal::keywordKind(std::string_view Word) {
+  switch (Word.size()) {
+  case 3:
+    if (Word == "var")
+      return TokKind::KwVar;
+    break;
+  case 4:
+    if (Word == "void")
+      return TokKind::KwVoid;
+    if (Word == "this")
+      return TokKind::KwThis;
+    if (Word == "true")
+      return TokKind::KwTrue;
+    if (Word == "null")
+      return TokKind::KwNull;
+    if (Word == "enum")
+      return TokKind::KwEnum;
+    break;
+  case 5:
+    if (Word == "class")
+      return TokKind::KwClass;
+    if (Word == "false")
+      return TokKind::KwFalse;
+    break;
+  case 6:
+    if (Word == "static")
+      return TokKind::KwStatic;
+    if (Word == "struct")
+      return TokKind::KwStruct;
+    if (Word == "return")
+      return TokKind::KwReturn;
+    break;
+  case 9:
+    if (Word == "namespace")
+      return TokKind::KwNamespace;
+    if (Word == "interface")
+      return TokKind::KwInterface;
+    break;
+  case 10:
+    if (Word == "comparable")
+      return TokKind::KwComparable;
+    break;
+  }
+  return TokKind::Ident;
 }
 
-Lexer::Lexer(std::string_view Source, DiagnosticEngine &Diags)
-    : Source(Source), Diags(Diags) {}
+static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+Lexer::Lexer(std::string_view Source, DiagnosticEngine &Diags, SourceLoc Start)
+    : Source(Source), Diags(Diags), Line(Start.Line), Col(Start.Col) {}
 
 char Lexer::peek(size_t Ahead) const {
   return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
@@ -133,13 +162,17 @@ char Lexer::advance() {
 void Lexer::skipTrivia() {
   while (!atEnd()) {
     char C = peek();
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (C == ' ' || C == '\n' || C == '\t' || C == '\r' || C == '\v' ||
+        C == '\f') {
       advance();
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      // Up to (not past) the newline; no line break inside, so only the
+      // column moves.
+      size_t End = std::min(Source.find('\n', Pos), Source.size());
+      Col += static_cast<unsigned>(End - Pos);
+      Pos = End;
       continue;
     }
     if (C == '/' && peek(1) == '*') {
@@ -175,38 +208,41 @@ Token Lexer::next() {
 
   char C = advance();
 
-  // Identifiers and keywords.
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Text(1, C);
-    while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                        peek() == '_'))
-      Text.push_back(advance());
-    auto It = keywordMap().find(Text);
-    if (It != keywordMap().end()) {
-      T.Kind = It->second;
-    } else {
-      T.Kind = TokKind::Ident;
-    }
-    T.Text = std::move(Text);
+  // Identifiers and keywords, sliced from the source in one piece (no
+  // line break inside, so only the column moves).
+  if (isIdentStart(C)) {
+    size_t Begin = Pos - 1;
+    while (!atEnd() && isIdentChar(Source[Pos]))
+      ++Pos;
+    Col += static_cast<unsigned>(Pos - Begin - 1);
+    std::string_view Word = Source.substr(Begin, Pos - Begin);
+    T.Kind = keywordKind(Word);
+    T.Text.assign(Word);
     return T;
   }
 
-  // Numeric literals.
-  if (std::isdigit(static_cast<unsigned char>(C))) {
-    std::string Text(1, C);
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-      Text.push_back(advance());
-    if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
-      Text.push_back(advance());
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-        Text.push_back(advance());
+  // Numeric literals: digits, then `.` and digits only when a digit
+  // follows the dot (so `1.f` stays IntLit, Dot, Ident).
+  if (isDigit(C)) {
+    size_t Begin = Pos - 1;
+    while (!atEnd() && isDigit(Source[Pos]))
+      ++Pos;
+    bool IsFloat = Pos + 1 < Source.size() && Source[Pos] == '.' &&
+                   isDigit(Source[Pos + 1]);
+    if (IsFloat) {
+      Pos += 2;
+      while (!atEnd() && isDigit(Source[Pos]))
+        ++Pos;
+    }
+    Col += static_cast<unsigned>(Pos - Begin - 1);
+    T.Text.assign(Source.substr(Begin, Pos - Begin));
+    if (IsFloat) {
       T.Kind = TokKind::FloatLit;
-      T.FloatValue = std::stod(Text);
+      T.FloatValue = std::stod(T.Text);
     } else {
       T.Kind = TokKind::IntLit;
-      T.IntValue = std::stoll(Text);
+      T.IntValue = std::stoll(T.Text);
     }
-    T.Text = std::move(Text);
     return T;
   }
 
@@ -304,6 +340,9 @@ Token Lexer::next() {
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
+  // Source text runs about four bytes per token; reserving that up front
+  // saves regrowing (and moving) the vector while lexing a whole file.
+  Tokens.reserve(Source.size() / 4 + 1);
   while (true) {
     Tokens.push_back(next());
     if (Tokens.back().is(TokKind::Eof))

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace petal {
@@ -70,6 +71,18 @@ enum class TokKind {
 /// Human-readable token-kind name for diagnostics.
 const char *tokKindName(TokKind Kind);
 
+/// The keyword kind \p Word spells, or TokKind::Ident if it is none.
+TokKind keywordKind(std::string_view Word);
+
+/// An identifier is an ASCII letter or '_' followed by letters, digits and
+/// '_'.
+inline bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+inline bool isIdentChar(char C) {
+  return isIdentStart(C) || (C >= '0' && C <= '9');
+}
+
 /// One lexed token. Text holds the identifier/literal spelling.
 struct Token {
   TokKind Kind = TokKind::Eof;
@@ -89,7 +102,11 @@ struct Token {
 /// diagnostic.
 class Lexer {
 public:
-  Lexer(std::string_view Source, DiagnosticEngine &Diags);
+  /// \p Start is the position of Source's first byte: {1, 1} for a whole
+  /// buffer, or where a slice of a larger buffer begins, so that tokens
+  /// carry the positions they have in the whole.
+  Lexer(std::string_view Source, DiagnosticEngine &Diags,
+        SourceLoc Start = {1, 1});
 
   /// Lexes the entire buffer; the result always ends with an Eof token.
   std::vector<Token> lexAll();

@@ -71,6 +71,10 @@ bool Parser::parseFile(SynFile &Out) {
   return Ok && !Diags.hasErrors();
 }
 
+bool Parser::parseSingleType(const std::string &NsName, SynFile &Out) {
+  return parseTypeDecl(NsName, Out) && at(TokKind::Eof) && !Diags.hasErrors();
+}
+
 bool Parser::parseNamespaceBody(const std::string &NsName, SynFile &Out) {
   bool Ok = true;
   while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
@@ -139,7 +143,7 @@ bool Parser::parseTypeDecl(const std::string &NsName, SynFile &Out) {
       std::vector<std::string> Base;
       if (!parseQualifiedName(Base)) {
         syncTo(TokKind::LBrace);
-        Out.Types.push_back(std::move(Ty));
+        Out.Types.push_back(std::make_shared<const SynType>(std::move(Ty)));
         return false;
       }
       Ty.Bases.push_back(std::move(Base));
@@ -147,7 +151,7 @@ bool Parser::parseTypeDecl(const std::string &NsName, SynFile &Out) {
   }
 
   if (!expect(TokKind::LBrace, "type declaration")) {
-    Out.Types.push_back(std::move(Ty));
+    Out.Types.push_back(std::make_shared<const SynType>(std::move(Ty)));
     return false;
   }
 
@@ -156,7 +160,7 @@ bool Parser::parseTypeDecl(const std::string &NsName, SynFile &Out) {
     if (!parseMember(Ty))
       Ok = false;
   expect(TokKind::RBrace, "type body");
-  Out.Types.push_back(std::move(Ty));
+  Out.Types.push_back(std::make_shared<const SynType>(std::move(Ty)));
   return Ok;
 }
 
@@ -180,7 +184,7 @@ bool Parser::parseEnumDecl(const std::string &NsName, SynFile &Out) {
       break;
   }
   bool Ok = expect(TokKind::RBrace, "enum body");
-  Out.Types.push_back(std::move(Ty));
+  Out.Types.push_back(std::make_shared<const SynType>(std::move(Ty)));
   return Ok;
 }
 

@@ -34,6 +34,11 @@ public:
   /// was emitted (a partial tree is still produced for recovery).
   bool parseFile(SynFile &Out);
 
+  /// Parses the stream as exactly one type declaration in namespace
+  /// \p NsName: one span of DeclSpans.h. False on an error or when tokens
+  /// remain after the declaration.
+  bool parseSingleType(const std::string &NsName, SynFile &Out);
+
   /// Parses a single partial-expression query (with an optional top-level
   /// comparison or assignment). Returns null on error.
   SynExprPtr parseQuery();

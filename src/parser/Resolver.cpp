@@ -43,7 +43,7 @@ bool Resolver::resolveFileReusingDecls(const SynFile &File) {
 bool Resolver::registerTypesReusing(const SynFile &File) {
   RegisteredTypes.assign(File.Types.size(), InvalidId);
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     std::string Qual = ST.NamespaceName.empty()
                            ? ST.Name
                            : ST.NamespaceName + "." + ST.Name;
@@ -58,7 +58,7 @@ bool Resolver::registerTypesReusing(const SynFile &File) {
 bool Resolver::resolveMembersReusing(const SynFile &File) {
   MemberMethodIds.assign(File.Types.size(), {});
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     MemberMethodIds[I].assign(ST.Members.size(), InvalidId);
     const TypeInfo &TI = TS.type(T);
@@ -113,7 +113,7 @@ bool Resolver::resolveMembersReusing(const SynFile &File) {
 bool Resolver::registerTypes(const SynFile &File) {
   RegisteredTypes.assign(File.Types.size(), InvalidId);
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     NamespaceId Ns = TS.getOrAddNamespace(ST.NamespaceName);
     std::string Qual = ST.NamespaceName.empty()
                            ? ST.Name
@@ -131,7 +131,7 @@ bool Resolver::registerTypes(const SynFile &File) {
 
 bool Resolver::resolveBases(const SynFile &File) {
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     if (!isValidId(T))
       continue;
@@ -175,7 +175,7 @@ bool Resolver::resolveBases(const SynFile &File) {
 bool Resolver::resolveMembers(const SynFile &File) {
   MemberMethodIds.assign(File.Types.size(), {});
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     MemberMethodIds[I].assign(ST.Members.size(), InvalidId);
     if (!isValidId(T))
@@ -223,7 +223,7 @@ bool Resolver::resolveMembers(const SynFile &File) {
 
 bool Resolver::resolveBodies(const SynFile &File) {
   for (size_t I = 0; I != File.Types.size(); ++I) {
-    const SynType &ST = File.Types[I];
+    const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     if (!isValidId(T))
       continue;
@@ -267,18 +267,28 @@ bool Resolver::resolveBodies(const SynFile &File) {
 
 TypeId Resolver::resolveTypeName(const std::vector<std::string> &Segs,
                                  const std::string &ContextNs) {
-  std::string Name = joinStrings(Segs, '.');
-  // Search the context namespace and its ancestors, innermost first.
-  std::vector<std::string> Ctx = splitString(ContextNs, '.');
+  NameBuf.clear();
+  for (const std::string &S : Segs) {
+    if (!NameBuf.empty())
+      NameBuf.push_back('.');
+    NameBuf += S;
+  }
+  // Search the context namespace and its ancestors, innermost first: the
+  // candidates are ContextNs's prefixes ending before a dot, longest first,
+  // then the bare name.
+  size_t NsLen = ContextNs.size();
   while (true) {
-    std::string Prefix = joinStrings(Ctx, '.');
-    std::string Qual = Prefix.empty() ? Name : Prefix + "." + Name;
-    TypeId T = TS.findType(Qual);
+    QualBuf.assign(ContextNs, 0, NsLen);
+    if (NsLen)
+      QualBuf.push_back('.');
+    QualBuf += NameBuf;
+    TypeId T = TS.findType(QualBuf);
     if (isValidId(T))
       return T;
-    if (Ctx.empty())
+    if (NsLen == 0)
       return InvalidId;
-    Ctx.pop_back();
+    size_t Dot = ContextNs.rfind('.', NsLen - 1);
+    NsLen = Dot == std::string::npos ? 0 : Dot;
   }
 }
 

@@ -147,6 +147,10 @@ private:
   std::vector<TypeId> RegisteredTypes;
   /// Per type, per member index, the MethodId (InvalidId for fields).
   std::vector<std::vector<MethodId>> MemberMethodIds;
+
+  /// resolveTypeName's scratch: the dotted name and the candidate
+  /// qualified name, reused across calls.
+  std::string NameBuf, QualBuf;
 };
 
 } // namespace petal

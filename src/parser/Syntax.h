@@ -110,9 +110,12 @@ struct SynType {
   std::vector<std::string> Enumerators;        ///< for enums
 };
 
-/// A parsed source file.
+/// A parsed source file. Each type's tree is immutable once parsed and
+/// shared by pointer, so a later version of the same document can reuse
+/// the trees of its unchanged declarations without copying them (see
+/// DeclSpans.h).
 struct SynFile {
-  std::vector<SynType> Types;
+  std::vector<std::shared_ptr<const SynType>> Types;
 };
 
 } // namespace petal

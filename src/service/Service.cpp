@@ -812,8 +812,8 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
       // solution carried over (no-op edits only). Survivors are re-keyed
       // to the new version and replayed with it stamped in.
       const bool SolutionShared = Built->sharedSolution();
-      const DocumentShape &OldShape = S.Doc->Shape;
-      const DocumentShape &NewShape = Built->Shape;
+      const DocumentShape &OldShape = S.Doc->Parsed.Shape;
+      const DocumentShape &NewShape = Built->Parsed.Shape;
       Retained = Cache.retarget(
           S.Name, Version, [&](const ResultCache::EntryMeta &E) {
             if (E.UsesAbstract && !SolutionShared)

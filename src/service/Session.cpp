@@ -20,9 +20,9 @@
 using namespace petal;
 
 size_t DocumentState::memoryBytes() const {
-  size_t Bytes = Text.capacity();
-  for (const DeclUnit &U : Shape.Units)
-    Bytes += sizeof(DeclUnit) + U.QualName.capacity();
+  // The retained declaration trees are counted whole, though an edit's
+  // successor shares most of them.
+  size_t Bytes = Text.capacity() + Parsed.memoryBytes();
   // Each layer's memoryBytes counts only storage that layer owns: an
   // overlay TypeSystem reports its local tables (not the base's), and
   // indexes built by the sharing constructor or over adopted snapshot
@@ -45,8 +45,9 @@ static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
                                 size_t DocThreads) {
   if (!Prev.TS || !Prev.Idx || !Prev.Idx->frozen() || !Prev.Exec)
     return false;
-  if (Prev.Shape.TypeGraphHash != Doc.Shape.TypeGraphHash ||
-      Prev.Shape.Units.size() != Doc.Shape.Units.size())
+  const DocumentShape &Was = Prev.Parsed.Shape, &Now = Doc.Parsed.Shape;
+  if (Was.TypeGraphHash != Now.TypeGraphHash ||
+      Was.Units.size() != Now.Units.size())
     return false;
 
   auto P = std::make_shared<Program>(*Prev.TS);
@@ -63,7 +64,7 @@ static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
   Doc.Idx = std::make_shared<CompletionIndexes>(*Doc.P, *Prev.Idx);
   Doc.Idx->freeze(FreezeOptions{}); // no-op compile: tables are shared
   Doc.Exec = std::make_shared<BatchExecutor>(*Doc.P, *Doc.Idx, DocThreads);
-  if (Doc.Shape.CodeHash == Prev.Shape.CodeHash) {
+  if (Now.CodeHash == Was.CodeHash) {
     // Token-identical text: the whole-corpus abstract-type solution is a
     // function of the (unchanged) method bodies, so it carries over.
     // Abstract-type variables are numbered by a deterministic structural
@@ -134,6 +135,78 @@ static bool runFullBuild(DocumentState &Doc, const SynFile &File,
   return true;
 }
 
+/// Stamps \p Doc's build time, measured from \p Start.
+static std::unique_ptr<DocumentState>
+finishBuild(std::unique_ptr<DocumentState> Doc,
+            std::chrono::steady_clock::time_point Start) {
+  Doc->BuildMillis = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+  return Doc;
+}
+
+/// Everything after the parse, from \p Doc.Parsed: the incremental route
+/// when \p Prev's type graph matches, else a full (overlay) build with the
+/// overlay fault's monolithic fallback. Returns false with \p Error set on
+/// a resolution failure or abandonment.
+static bool buildFromParse(DocumentState &Doc, const DocumentState *Prev,
+                           std::shared_ptr<const BaseCorpus> Base,
+                           size_t DocThreads, const AbortSignal *Abort,
+                           std::string &Error) {
+  if (Abort && Abort->aborted()) {
+    Error = "build abandoned after parse (deadline or cancellation)";
+    return false;
+  }
+
+  // A previous version built against a different base — in practice a
+  // degraded-monolithic predecessor (Base == null) in an overlay workspace
+  // — cannot seed an incremental build. Treat it as absent: the full build
+  // below runs against the *requested* base, healing the session back onto
+  // the overlay path.
+  if (Prev && Prev->Base != Base)
+    Prev = nullptr;
+  if (Prev && tryIncrementalBuild(Doc, Doc.Parsed.File, *Prev, DocThreads))
+    return true;
+
+  Doc.Kind = DocumentState::BuildKind::Full;
+  bool Ok;
+  try {
+    // Fault: the overlay build path fails before completing. Modeled as a
+    // throw out of the overlay attempt; recovery is the monolithic rebuild
+    // in the catch below.
+    if (Base && FaultInjector::armed() &&
+        FaultInjector::instance().fire(Fault::OverlayBuild))
+      throw InjectedFault("overlay build for '" + Doc.Name + "'");
+    Ok = runFullBuild(Doc, Doc.Parsed.File, Base, DocThreads, Error);
+  } catch (const InjectedFault &) {
+    // Degradation ladder, bottom rung: rebuild monolithically from base
+    // source + document source. Same completions (the overlay equivalence
+    // property), higher cost, no shared tables. The next edit's Prev/Base
+    // mismatch check above self-heals back to overlay.
+    FaultInjector::instance().noteRecovered(Fault::OverlayBuild);
+    SynFile MonoFile;
+    DiagnosticEngine MonoDiags;
+    std::string MonoText = Base->SourceText + "\n" + Doc.Text;
+    if (!parseSourceFile(MonoText, MonoFile, MonoDiags)) {
+      Error = "degraded monolithic build failed to parse";
+      return false;
+    }
+    // The shape now covers base + document, so no declaration of it is
+    // reusable text of this document.
+    Doc.Parsed = ParsedDecls();
+    Doc.Parsed.Shape = shapeOfFile(MonoFile);
+    Ok = runFullBuild(Doc, MonoFile, nullptr, DocThreads, Error);
+    Doc.DegradedMonolithic = Ok;
+  }
+  if (!Ok)
+    return false;
+  if (Abort && Abort->aborted()) {
+    Error = "build abandoned after resolve (deadline or cancellation)";
+    return false;
+  }
+  return true;
+}
+
 std::unique_ptr<DocumentState>
 petal::buildDocumentState(const std::string &Name, const std::string &Text,
                           int64_t Version, size_t DocThreads,
@@ -141,10 +214,13 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
                           std::shared_ptr<const BaseCorpus> Base,
                           const AbortSignal *Abort) {
   auto Start = std::chrono::steady_clock::now();
-  auto Doc = std::make_unique<DocumentState>();
-  Doc->Name = Name;
-  Doc->Version = Version;
-  Doc->Text = Text;
+  auto NewState = [&] {
+    auto Doc = std::make_unique<DocumentState>();
+    Doc->Name = Name;
+    Doc->Version = Version;
+    Doc->Text = Text;
+    return Doc;
+  };
 
   if (Abort && Abort->aborted()) {
     Error = "build abandoned before parse (deadline or cancellation)";
@@ -158,9 +234,28 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
       FaultInjector::instance().fire(Fault::BuildThrow))
     throw InjectedFault("document build for '" + Name + "'");
 
+  // Text-level reuse (DESIGN.md §12): parse declaration by declaration,
+  // sharing Prev's tree for every declaration whose namespace and bytes
+  // are unchanged. A tree does not depend on the base it was resolved
+  // against, so Prev's are offered whatever its base.
+  std::unique_ptr<DocumentState> Doc = NewState();
+  std::string_view PrevText = Prev ? std::string_view(Prev->Text) : "";
+  if (parseBySpans(Doc->Text, Doc->Parsed, PrevText,
+                   Prev ? &Prev->Parsed : nullptr)) {
+    if (buildFromParse(*Doc, Prev, Base, DocThreads, Abort, Error))
+      return finishBuild(std::move(Doc), Start);
+    if (Abort && Abort->aborted())
+      return nullptr;
+  }
+
+  // Whatever span reuse cannot prove — a text that does not split, a span
+  // raising a diagnostic, a build that fails — runs from a whole-file
+  // parse, so every diagnostic an error reports comes from a fresh parse
+  // with the text's own positions.
+  Doc = NewState();
+  Error.clear();
   DiagnosticEngine Diags;
-  SynFile File;
-  if (!parseSourceFile(Text, File, Diags)) {
+  if (!parseSourceFile(Text, Doc->Parsed.File, Diags)) {
     std::ostringstream OS;
     Diags.print(OS);
     Error = OS.str();
@@ -168,62 +263,12 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
       Error = "document failed to parse";
     return nullptr;
   }
-  Doc->Shape = shapeOfFile(File);
-
-  if (Abort && Abort->aborted()) {
-    Error = "build abandoned after parse (deadline or cancellation)";
+  Doc->Parsed.Shape = shapeOfFile(Doc->Parsed.File);
+  if (!buildFromParse(*Doc, Prev, Base, DocThreads, Abort, Error))
     return nullptr;
-  }
-
-  // A previous version built against a different base — in practice a
-  // degraded-monolithic predecessor (Base == null) in an overlay workspace
-  // — cannot seed an incremental build. Treat it as absent: the full build
-  // below runs against the *requested* base, healing the session back onto
-  // the overlay path.
-  if (Prev && Prev->Base != Base)
-    Prev = nullptr;
-
-  if (!(Prev && tryIncrementalBuild(*Doc, File, *Prev, DocThreads))) {
-    Doc->Kind = DocumentState::BuildKind::Full;
-    bool Ok;
-    try {
-      // Fault: the overlay build path fails before completing. Modeled as
-      // a throw out of the overlay attempt; recovery is the monolithic
-      // rebuild in the catch below.
-      if (Base && FaultInjector::armed() &&
-          FaultInjector::instance().fire(Fault::OverlayBuild))
-        throw InjectedFault("overlay build for '" + Name + "'");
-      Ok = runFullBuild(*Doc, File, Base, DocThreads, Error);
-    } catch (const InjectedFault &) {
-      // Degradation ladder, bottom rung: rebuild monolithically from base
-      // source + document source. Same completions (the overlay
-      // equivalence property), higher cost, no shared tables. The next
-      // edit's Prev/Base mismatch check above self-heals back to overlay.
-      FaultInjector::instance().noteRecovered(Fault::OverlayBuild);
-      SynFile MonoFile;
-      DiagnosticEngine MonoDiags;
-      std::string MonoText = Base->SourceText + "\n" + Text;
-      if (!parseSourceFile(MonoText, MonoFile, MonoDiags)) {
-        Error = "degraded monolithic build failed to parse";
-        return nullptr;
-      }
-      Doc->Shape = shapeOfFile(MonoFile);
-      Ok = runFullBuild(*Doc, MonoFile, nullptr, DocThreads, Error);
-      Doc->DegradedMonolithic = Ok;
-    }
-    if (!Ok)
-      return nullptr;
-    if (Abort && Abort->aborted()) {
-      Error = "build abandoned after resolve (deadline or cancellation)";
-      return nullptr;
-    }
-  }
-
-  Doc->BuildMillis =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - Start)
-          .count();
-  return Doc;
+  // Without spans the trees are not reusable; keep only the shape.
+  Doc->Parsed.File = SynFile();
+  return finishBuild(std::move(Doc), Start);
 }
 
 bool petal::parseCompleteSpec(const json::Value &Params, CompleteSpec &Out,

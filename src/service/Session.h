@@ -16,7 +16,14 @@
 /// exactly one consistent version and stale versions can be rejected by
 /// number.
 ///
-/// A build takes one of three routes, cheapest first:
+/// Every build first parses the text one top-level declaration at a time
+/// (parser/DeclSpans.h), reusing the previous version's syntax tree and
+/// unit hashes for each declaration whose namespace and bytes are
+/// unchanged, so an edit lexes and parses only the declarations it
+/// touched. A text that does not split cleanly, and any build that fails,
+/// goes through a whole-file parse instead, so that every error reported
+/// comes from a fresh parse. The parse then takes one of three routes,
+/// cheapest first:
 ///
 ///  * **Overlay** (base/overlay workspace, DESIGN.md §14): when the
 ///    service carries a shared BaseCorpus, the document's TypeSystem,
@@ -38,7 +45,7 @@
 #define PETAL_SERVICE_SESSION_H
 
 #include "complete/BatchExecutor.h"
-#include "parser/DeclUnits.h"
+#include "parser/DeclSpans.h"
 #include "parser/Frontend.h"
 #include "snapshot/Snapshot.h"
 #include "support/Json.h"
@@ -75,9 +82,13 @@ struct DocumentState {
   };
   BuildKind Kind = BuildKind::Full;
 
-  /// Per-declaration-unit content hashes of this version, diffed against
-  /// the successor's on the next edit (parser/DeclUnits.h).
-  DocumentShape Shape;
+  /// This version's top-level declarations (parser/DeclSpans.h): their
+  /// shared, immutable syntax trees, their byte ranges in Text, and the
+  /// per-unit content hashes (Parsed.Shape) that the successor's build and
+  /// the result cache diff against. The next edit reuses the tree and
+  /// hashes of every declaration whose namespace and bytes it leaves
+  /// unchanged. A text that could not be split keeps only its shape.
+  ParsedDecls Parsed;
 
   // Declaration order is construction order: the Program refers to the
   // TypeSystem, the indexes to the Program, the executor to both. Each
@@ -118,7 +129,9 @@ struct DocumentState {
   size_t memoryBytes() const;
 };
 
-/// Parses \p Text and builds the full query-ready state for it.
+/// Parses \p Text and builds the full query-ready state for it. The parse
+/// reuses \p Prev's trees for unchanged declarations whatever the route
+/// (see the file comment).
 /// \p DocThreads sizes the per-document BatchExecutor (1 = serial).
 /// Returns null on parse/resolve failure with the diagnostics rendered
 /// into \p Error.

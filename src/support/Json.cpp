@@ -272,6 +272,16 @@ struct Parser {
     if (!consume('"'))
       return fail("expected string");
     for (;;) {
+      // Copy the run of plain characters up to the next quote, escape or
+      // control character in one append.
+      size_t Run = Pos;
+      while (Pos < Text.size()) {
+        unsigned char U = static_cast<unsigned char>(Text[Pos]);
+        if (U == '"' || U == '\\' || U < 0x20)
+          break;
+        ++Pos;
+      }
+      Out.append(Text.data() + Run, Pos - Run);
       if (atEnd())
         return fail("unterminated string");
       char C = Text[Pos++];
@@ -279,10 +289,7 @@ struct Parser {
         return true;
       if (static_cast<unsigned char>(C) < 0x20)
         return fail("unescaped control character in string");
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
+      // C is a backslash.
       if (atEnd())
         return fail("truncated escape");
       char E = Text[Pos++];

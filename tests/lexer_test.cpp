@@ -5,9 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCorpora.h"
+
 #include "parser/Lexer.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <map>
+#include <sstream>
 
 using namespace petal;
 
@@ -130,6 +137,195 @@ TEST(LexerTest, BoolAndNullKeywords) {
                                    TokKind::KwNull, TokKind::KwComparable,
                                    TokKind::Eof};
   EXPECT_EQ(K, Expected);
+}
+
+//===----------------------------------------------------------------------===//
+// The sliced scan against a character-at-a-time reference
+//===----------------------------------------------------------------------===//
+
+/// One token as the reference scan sees it, with its byte offset.
+struct RefToken {
+  Token Tok;
+  size_t Offset = 0;
+};
+
+/// An independent reference lexer: one character at a time, keywords from
+/// a table, <cctype> classes. It is how the Lexer scanned before it sliced
+/// identifiers and numbers from the source in one piece and matched
+/// keywords by length; the two must agree on every token and diagnostic.
+std::vector<RefToken> referenceLex(std::string_view S, SourceLoc Start,
+                                   DiagnosticEngine &Diags) {
+  static const std::map<std::string, TokKind> Keywords = {
+      {"namespace", TokKind::KwNamespace}, {"class", TokKind::KwClass},
+      {"interface", TokKind::KwInterface}, {"struct", TokKind::KwStruct},
+      {"enum", TokKind::KwEnum},           {"static", TokKind::KwStatic},
+      {"void", TokKind::KwVoid},           {"var", TokKind::KwVar},
+      {"return", TokKind::KwReturn},       {"this", TokKind::KwThis},
+      {"true", TokKind::KwTrue},           {"false", TokKind::KwFalse},
+      {"null", TokKind::KwNull},           {"comparable", TokKind::KwComparable}};
+  static const std::map<char, TokKind> Singles = {
+      {'{', TokKind::LBrace}, {'}', TokKind::RBrace}, {'(', TokKind::LParen},
+      {')', TokKind::RParen}, {',', TokKind::Comma},  {';', TokKind::Semi},
+      {'.', TokKind::Dot},    {'?', TokKind::Question}, {'*', TokKind::Star},
+      {':', TokKind::Colon}};
+  size_t Pos = 0;
+  unsigned Line = Start.Line, Col = Start.Col;
+  auto Peek = [&](size_t Ahead = 0) {
+    return Pos + Ahead < S.size() ? S[Pos + Ahead] : '\0';
+  };
+  auto Advance = [&] {
+    char C = S[Pos++];
+    if (C == '\n') {
+      ++Line;
+      Col = 1;
+    } else {
+      ++Col;
+    }
+    return C;
+  };
+  auto IsDigit = [](char C) {
+    return std::isdigit(static_cast<unsigned char>(C)) != 0;
+  };
+  std::vector<RefToken> Out;
+  while (true) {
+    while (Pos < S.size()) {
+      char C = Peek();
+      if (std::isspace(static_cast<unsigned char>(C))) {
+        Advance();
+      } else if (C == '/' && Peek(1) == '/') {
+        while (Pos < S.size() && Peek() != '\n')
+          Advance();
+      } else if (C == '/' && Peek(1) == '*') {
+        SourceLoc At{Line, Col};
+        Advance();
+        Advance();
+        bool Closed = false;
+        while (Pos < S.size() && !Closed) {
+          Closed = Peek() == '*' && Peek(1) == '/';
+          if (Closed)
+            Advance();
+          Advance();
+        }
+        if (!Closed)
+          Diags.error(At, "unterminated block comment");
+      } else {
+        break;
+      }
+    }
+    RefToken R;
+    Token &T = R.Tok;
+    T.Loc = {Line, Col};
+    R.Offset = Pos;
+    if (Pos >= S.size()) {
+      Out.push_back(R);
+      return Out;
+    }
+    char C = Advance();
+    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+      T.Text = C;
+      while (Pos < S.size() &&
+             (std::isalnum(static_cast<unsigned char>(Peek())) ||
+              Peek() == '_'))
+        T.Text += Advance();
+      auto It = Keywords.find(T.Text);
+      T.Kind = It == Keywords.end() ? TokKind::Ident : It->second;
+    } else if (IsDigit(C)) {
+      T.Text = C;
+      while (IsDigit(Peek()))
+        T.Text += Advance();
+      if (Peek() == '.' && IsDigit(Peek(1))) {
+        T.Text += Advance();
+        while (IsDigit(Peek()))
+          T.Text += Advance();
+        T.Kind = TokKind::FloatLit;
+        T.FloatValue = std::stod(T.Text);
+      } else {
+        T.Kind = TokKind::IntLit;
+        T.IntValue = std::stoll(T.Text);
+      }
+    } else if (C == '"') {
+      bool Closed = false;
+      while (Pos < S.size() && !Closed) {
+        char D = Advance();
+        Closed = D == '"';
+        if (D == '\\' && Pos < S.size())
+          D = Advance();
+        if (!Closed)
+          T.Text += D;
+      }
+      if (!Closed)
+        Diags.error(T.Loc, "unterminated string literal");
+      T.Kind = Closed ? TokKind::StringLit : TokKind::Error;
+    } else if (Singles.count(C)) {
+      T.Kind = Singles.at(C);
+    } else if (C == '=' || C == '<' || C == '>' ||
+               (C == '!' && Peek() == '=')) {
+      bool Eq = Peek() == '=';
+      if (Eq)
+        Advance();
+      T.Kind = C == '=' ? (Eq ? TokKind::EqEq : TokKind::Assign)
+               : C == '<' ? (Eq ? TokKind::Le : TokKind::Lt)
+               : C == '>' ? (Eq ? TokKind::Ge : TokKind::Gt)
+                          : TokKind::NotEq;
+    } else {
+      Diags.error(T.Loc, std::string("unexpected character '") + C + "'");
+      T.Kind = TokKind::Error;
+    }
+    Out.push_back(R);
+  }
+}
+
+std::string render(const DiagnosticEngine &D) {
+  std::ostringstream OS;
+  D.print(OS);
+  return OS.str();
+}
+
+void expectSameTokens(const std::vector<Token> &Got,
+                      const std::vector<RefToken> &Want, size_t From) {
+  ASSERT_EQ(Got.size(), Want.size() - From);
+  for (size_t I = 0; I != Got.size(); ++I) {
+    const Token &A = Got[I], &B = Want[From + I].Tok;
+    SCOPED_TRACE("token " + std::to_string(From + I) + " '" + B.Text + "'");
+    ASSERT_EQ(A.Kind, B.Kind);
+    ASSERT_EQ(A.Text, B.Text);
+    ASSERT_EQ(A.IntValue, B.IntValue);
+    ASSERT_EQ(A.FloatValue, B.FloatValue);
+    ASSERT_EQ(A.Loc.Line, B.Loc.Line);
+    ASSERT_EQ(A.Loc.Col, B.Loc.Col);
+  }
+}
+
+TEST(LexerTest, SlicedScanMatchesCharacterReference) {
+  // Mutated corpora: junk that splits and joins identifiers and numbers,
+  // opens strings and comments, and adds bytes no token starts with.
+  static const char Junk[] = "aZ_9.0\"\\/*\n\t {}=!<>@#\xc3";
+  const std::string Base = corpora::GeometryCorpus;
+  Rng R(17);
+  for (int Trial = 0; Trial != 200; ++Trial) {
+    std::string Src = Base;
+    for (int M = static_cast<int>(R.range(0, 6)); M > 0; --M) {
+      size_t Pos = R.below(Src.size());
+      if (R.chance(0.3))
+        Src.erase(Pos, 1);
+      else
+        Src.insert(Pos, 1, Junk[R.below(sizeof(Junk) - 1)]);
+    }
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    DiagnosticEngine GotDiags, WantDiags;
+    Lexer L(Src, GotDiags);
+    std::vector<RefToken> Want = referenceLex(Src, {1, 1}, WantDiags);
+    expectSameTokens(L.lexAll(), Want, 0);
+    EXPECT_EQ(render(GotDiags), render(WantDiags));
+
+    // Lexing from a token's offset with its position as the start yields
+    // the rest of the whole text's tokens, positions included.
+    size_t K = R.below(Want.size());
+    DiagnosticEngine SliceDiags;
+    Lexer Slice(std::string_view(Src).substr(Want[K].Offset), SliceDiags,
+                Want[K].Tok.Loc);
+    expectSameTokens(Slice.lexAll(), Want, K);
+  }
 }
 
 } // namespace

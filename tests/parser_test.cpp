@@ -66,7 +66,7 @@ TEST(ParserTest, ClassWithMembers) {
     }
   )");
   ASSERT_EQ(F.Types.size(), 1u);
-  const SynType &T = F.Types[0];
+  const SynType &T = *F.Types[0];
   EXPECT_EQ(T.Name, "Point");
   EXPECT_EQ(T.Kind, TypeKind::Class);
   ASSERT_EQ(T.Members.size(), 6u);
@@ -91,9 +91,9 @@ TEST(ParserTest, NamespacesDottedAndNested) {
     class Root { }
   )");
   ASSERT_EQ(F.Types.size(), 3u);
-  EXPECT_EQ(F.Types[0].NamespaceName, "A.B");
-  EXPECT_EQ(F.Types[1].NamespaceName, "A.B.D");
-  EXPECT_EQ(F.Types[2].NamespaceName, "");
+  EXPECT_EQ(F.Types[0]->NamespaceName, "A.B");
+  EXPECT_EQ(F.Types[1]->NamespaceName, "A.B.D");
+  EXPECT_EQ(F.Types[2]->NamespaceName, "");
 }
 
 TEST(ParserTest, BasesAndComparableFlag) {
@@ -102,18 +102,18 @@ TEST(ParserTest, BasesAndComparableFlag) {
     interface IShape { }
     class Square : Base.Shape, IShape { }
   )");
-  EXPECT_TRUE(F.Types[0].Comparable);
-  EXPECT_EQ(F.Types[1].Kind, TypeKind::Interface);
-  ASSERT_EQ(F.Types[2].Bases.size(), 2u);
-  EXPECT_EQ(F.Types[2].Bases[0],
+  EXPECT_TRUE(F.Types[0]->Comparable);
+  EXPECT_EQ(F.Types[1]->Kind, TypeKind::Interface);
+  ASSERT_EQ(F.Types[2]->Bases.size(), 2u);
+  EXPECT_EQ(F.Types[2]->Bases[0],
             (std::vector<std::string>{"Base", "Shape"}));
 }
 
 TEST(ParserTest, EnumDeclaration) {
   SynFile F = parseFileOk("enum Edge { Top, Bottom, Left, }");
   ASSERT_EQ(F.Types.size(), 1u);
-  EXPECT_EQ(F.Types[0].Kind, TypeKind::Enum);
-  EXPECT_EQ(F.Types[0].Enumerators,
+  EXPECT_EQ(F.Types[0]->Kind, TypeKind::Enum);
+  EXPECT_EQ(F.Types[0]->Enumerators,
             (std::vector<std::string>{"Top", "Bottom", "Left"}));
 }
 
@@ -129,7 +129,7 @@ TEST(ParserTest, StatementForms) {
       }
     }
   )");
-  const auto &Body = F.Types[0].Members[0].Body;
+  const auto &Body = F.Types[0]->Members[0].Body;
   ASSERT_EQ(Body.size(), 5u);
   EXPECT_EQ(Body[0].Kind, SynStmtKind::VarDecl);
   EXPECT_EQ(Body[1].Kind, SynStmtKind::TypedDecl);
@@ -152,7 +152,7 @@ TEST(ParserTest, TypedDeclVsExpressionDisambiguation) {
       }
     }
   )");
-  const auto &Body = F.Types[0].Members[0].Body;
+  const auto &Body = F.Types[0]->Members[0].Body;
   ASSERT_EQ(Body.size(), 2u);
   EXPECT_EQ(Body[0].Kind, SynStmtKind::ExprStmt);
   EXPECT_EQ(Body[1].Kind, SynStmtKind::TypedDecl);
@@ -174,7 +174,7 @@ TEST(ParserTest, RecoversAfterBadMember) {
   P.parseFile(File);
   EXPECT_TRUE(D.hasErrors());
   ASSERT_EQ(File.Types.size(), 2u);
-  EXPECT_EQ(File.Types[1].Name, "D");
+  EXPECT_EQ(File.Types[1]->Name, "D");
 }
 
 //===----------------------------------------------------------------------===//

@@ -77,6 +77,28 @@ TEST_F(ResolverTest, ForwardReferencesResolve) {
   EXPECT_EQ(TS->field(D).Type, TS->findType("Defined"));
 }
 
+TEST_F(ResolverTest, TypeNamesResolveInnermostNamespaceFirst) {
+  // From A.B.C a bare or partly qualified name is tried as A.B.C.name,
+  // A.B.name, A.name and name, in that order.
+  ASSERT_TRUE(load(R"(
+    class T { }
+    namespace A { class T { } class Only { } namespace X { class Y { } } }
+    namespace A.B { class T { } }
+    namespace A.B.C {
+      class U { T Near; Only Mid; X.Y Partial; Root Far; }
+    }
+    class Root { }
+  )")) << diagText();
+  TypeId U = TS->findType("A.B.C.U");
+  auto FieldType = [&](const char *Name) {
+    return TS->field(TS->findField(U, Name)).Type;
+  };
+  EXPECT_EQ(FieldType("Near"), TS->findType("A.B.T"));
+  EXPECT_EQ(FieldType("Mid"), TS->findType("A.Only"));
+  EXPECT_EQ(FieldType("Partial"), TS->findType("A.X.Y"));
+  EXPECT_EQ(FieldType("Far"), TS->findType("Root"));
+}
+
 TEST_F(ResolverTest, EnumMembersBecomeStaticFields) {
   ASSERT_TRUE(load("namespace N { enum Edge { Top, Bottom } }"))
       << diagText();

@@ -261,6 +261,10 @@ TEST_F(ExplainEngineTest, CeilingBoundsExplorationAndReportsTheHit) {
   ASSERT_LT(Bounded.size(), 500u);
   EXPECT_TRUE(Engine->lastQueryStats().ScoreCeilingHit);
   EXPECT_LE(Engine->lastQueryStats().LastBucket, 2);
+  // Print before the next query: it reuses the arena these Exprs live in.
+  std::vector<std::string> BoundedText;
+  for (const Completion &C : Bounded)
+    BoundedText.push_back(printExpr(*TS, C.E));
 
   // The ceiling-bound run is exactly the MaxScore-bound run at the same
   // cutoff.
@@ -271,7 +275,7 @@ TEST_F(ExplainEngineTest, CeilingBoundsExplorationAndReportsTheHit) {
   ASSERT_EQ(Bounded.size(), Want.size());
   for (size_t I = 0; I != Want.size(); ++I) {
     EXPECT_EQ(Bounded[I].Score, Want[I].Score);
-    EXPECT_EQ(printExpr(*TS, Bounded[I].E), printExpr(*TS, Want[I].E));
+    EXPECT_EQ(BoundedText[I], printExpr(*TS, Want[I].E));
   }
   // Running out at the caller's own MaxScore is not a ceiling hit.
   EXPECT_FALSE(Engine->lastQueryStats().ScoreCeilingHit);

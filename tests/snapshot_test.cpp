@@ -203,7 +203,7 @@ loadedDocument(const snapshot::LoadedSnapshot &Snap) {
   auto Doc = std::make_unique<DocumentState>();
   Doc->Name = "<snapshot>";
   Doc->Text = Snap.SourceText;
-  Doc->Shape = Snap.Shape;
+  Doc->Parsed.Shape = Snap.Shape;
   Doc->TS = Snap.TS;
   Doc->P = Snap.P;
   Doc->Idx = Snap.Idx;

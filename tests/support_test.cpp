@@ -372,6 +372,42 @@ TEST(JsonTest, WriteIsDeterministicAndRoundTrips) {
   EXPECT_EQ(parseOk(Wire), O);
 }
 
+TEST(JsonTest, LargeEscapedTextRoundTrips) {
+  // A 256 KiB string mixing plain runs, every escape the writer emits,
+  // raw control bytes and multi-byte UTF-8 (é, €, U+1F600), so the
+  // parser's bulk run copy is cut at every kind of boundary.
+  const std::vector<std::string> Pieces = {
+      "plain ascii run ", "\"", "\\", "\n", "\r", "\t", "\b", "\f",
+      std::string(1, '\x01'), std::string(1, '\x1f'), "\xc3\xa9",
+      "\xe2\x82\xac", "\xf0\x9f\x98\x80", "/", "{\"k\": [1, 2]}", " "};
+  Rng R(7);
+  std::string Big;
+  while (Big.size() < 256 * 1024)
+    Big += R.pick(Pieces);
+  json::Value O = json::Value::object();
+  O.set("text", Big);
+  EXPECT_EQ(parseOk(O.write()).getString("text"), Big);
+
+  // The same characters spelled with \u escapes (a surrogate pair for
+  // U+1F600, a lone high surrogate kept as-is) decode to the raw bytes.
+  std::string Escaped = "\"", Want;
+  for (int I = 0; I != 4096; ++I) {
+    Escaped += "ab\\u00e9\\u20ac\\ud83d\\ude00\\/\\u0041";
+    Want += "ab\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80/A";
+  }
+  Escaped += "\\ud83dz\"";
+  Want += "\xed\xa0\xbdz";
+  EXPECT_EQ(parseOk(Escaped).stringValue(), Want);
+
+  // Error messages and their offsets are those of a character-at-a-time
+  // scan.
+  EXPECT_EQ(parseErr("\"ab\x01\""),
+            "offset 4: unescaped control character in string");
+  EXPECT_EQ(parseErr("\"abc"), "offset 4: unterminated string");
+  EXPECT_EQ(parseErr("\"ab\\"), "offset 4: truncated escape");
+  EXPECT_EQ(parseErr("\"ab\\q\""), "offset 5: invalid escape character");
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool PETAL_THREADS hardening
 //===----------------------------------------------------------------------===//
