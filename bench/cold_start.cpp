@@ -9,9 +9,9 @@
 // document, over one generated corpus, by the two routes a daemon has:
 //
 //   cold-open   buildDocumentState of the whole corpus from source: parse +
-//               resolve + index freeze (the O(N^2) matrices, the BFS
-//               reachability rows, the method-union tables) + the
-//               whole-corpus abstract-type solve
+//               resolve + index freeze (the O(N^2) type-distance matrix,
+//               the member and method-union tables) + the whole-corpus
+//               abstract-type solve
 //   base-open   the corpus as a base snapshot (DESIGN.md §13-14):
 //               loadSnapshot + baseCorpusFromSnapshot (validate checksums,
 //               re-parse the embedded source, adopt every frozen table out

@@ -8,12 +8,9 @@
 // Reproduces the paper's speed paragraphs (§5.1: 98.9% of method queries
 // under 0.5 s; §5.2: 92% of argument queries under 0.1 s; §5.3: 99.5% of
 // lookup queries under 0.5 s) as a latency summary, then runs
-// google-benchmark microbenchmarks for the individual engine pieces and two
-// ablations beyond the paper:
-//
-//   * the reachability index (described but not implemented by the paper)
-//     on vs off for hole/argument queries;
-//   * the parameter-type method index vs a brute-force scan of all methods.
+// google-benchmark microbenchmarks for the individual engine pieces and one
+// ablation beyond the paper: the parameter-type method index vs a
+// brute-force scan of all methods.
 //
 //===----------------------------------------------------------------------===//
 
@@ -143,18 +140,6 @@ void BM_LookupQuery(benchmark::State &State) {
     benchmark::DoNotOptimize(Engine.complete(Q, F.Cmp->Site, 10));
 }
 BENCHMARK(BM_LookupQuery);
-
-void BM_ArgumentQuery_NoReachabilityPruning(benchmark::State &State) {
-  Fixture &F = Fixture::get();
-  const PartialExpr *Q = makeArgumentQuery(F);
-  CompletionEngine Engine(*F.P, *F.Idx);
-  CompletionOptions Opts;
-  Opts.UseReachabilityPruning = false;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(
-        Engine.complete(Q, F.TwoArgCall->Site, 10, Opts));
-}
-BENCHMARK(BM_ArgumentQuery_NoReachabilityPruning);
 
 void BM_MethodIndexLookup(benchmark::State &State) {
   Fixture &F = Fixture::get();

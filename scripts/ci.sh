@@ -25,7 +25,8 @@
 #      (syntax trees shared between document versions, documents swapped
 #      under in-flight requests, cached payloads outliving their sessions,
 #      mapped tables outliving their mapping, overlays outliving or
-#      outlived by their base corpus), and a
+#      outlived by their base corpus), the per-query reach rows (which
+#      index a row by every candidate's type id), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -89,7 +90,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Reach|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"

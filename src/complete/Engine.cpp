@@ -9,8 +9,6 @@
 
 #include "complete/BaseCorpus.h"
 
-#include <cstddef>
-
 using namespace petal;
 
 CompletionIndexes::CompletionIndexes(Program &P,
@@ -21,15 +19,12 @@ CompletionIndexes::CompletionIndexes(Program &P,
       MembersPtr(std::make_shared<MemberCache>(
           P.typeSystem(),
           std::shared_ptr<const MemberCache>(BaseIn->Idx->MembersPtr))),
-      ReachPtr(std::make_shared<ReachabilityIndex>(
-          P.typeSystem(), *MembersPtr,
-          std::shared_ptr<const ReachabilityIndex>(BaseIn->Idx->ReachPtr))),
       InferPtr(std::make_shared<AbstractTypeInference>(
           P,
           std::shared_ptr<const AbstractTypeInference>(BaseIn->Idx->InferPtr),
           BaseIn->Solution)),
-      Methods(*MethodsPtr), Members(*MembersPtr), Reach(*ReachPtr),
-      Infer(*InferPtr), TS(P.typeSystem()), Base(std::move(BaseIn)) {
+      Methods(*MethodsPtr), Members(*MembersPtr), Infer(*InferPtr),
+      TS(P.typeSystem()), Base(std::move(BaseIn)) {
   assert(Base->Idx && Base->Idx->frozen() &&
          "the base corpus must be frozen before overlays attach");
   assert(P.typeSystem().baseLayer() == Base->TS.get() &&
@@ -38,7 +33,6 @@ CompletionIndexes::CompletionIndexes(Program &P,
 
 CompletionIndexes::CompletionIndexes(Program &P, const CompletionIndexes &Prev)
     : MethodsPtr(Prev.MethodsPtr), MembersPtr(Prev.MembersPtr),
-      ReachPtr(Prev.ReachPtr),
       InferPtr(Prev.Base
                    ? std::make_shared<AbstractTypeInference>(
                          P,
@@ -46,8 +40,8 @@ CompletionIndexes::CompletionIndexes(Program &P, const CompletionIndexes &Prev)
                              Prev.Base->Idx->InferPtr),
                          Prev.Base->Solution)
                    : std::make_shared<AbstractTypeInference>(P)),
-      Methods(*MethodsPtr), Members(*MembersPtr), Reach(*ReachPtr),
-      Infer(*InferPtr), TS(P.typeSystem()), Base(Prev.Base),
+      Methods(*MethodsPtr), Members(*MembersPtr), Infer(*InferPtr),
+      TS(P.typeSystem()), Base(Prev.Base),
       SharedTypeGraph(true) {
   assert(Prev.frozen() &&
          "type-graph tables can only be shared after freeze()");
@@ -57,19 +51,6 @@ CompletionIndexes::CompletionIndexes(Program &P, const CompletionIndexes &Prev)
 }
 
 void CompletionIndexes::freeze(const FreezeOptions &Opts) {
-  // Reach is constructed with a reference to Members and consults it for
-  // the whole lifetime of the indexes; enforce the declaration
-  // (= construction / reverse-destruction) order at compile time. offsetof
-  // on this non-standard-layout struct is conditionally supported, which
-  // GCC and Clang both honor; member access is fine from inside a member
-  // function.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Winvalid-offsetof"
-  static_assert(offsetof(CompletionIndexes, MembersPtr) <
-                    offsetof(CompletionIndexes, ReachPtr),
-                "MembersPtr must be declared before ReachPtr: Reach holds "
-                "a reference to Members");
-#pragma GCC diagnostic pop
   if (Frozen)
     return;
   if (SharedTypeGraph) {
@@ -85,24 +66,15 @@ void CompletionIndexes::freeze(const FreezeOptions &Opts) {
   }
   TS.warmRelationCaches();
   Members.warmAll();
-  bool ReachDense = false;
   if (Opts.MaxDenseBytes != 0) {
-    // Build the flat tables. The method unions and reachability rows are
-    // filled directly, never from the lazy caches. Order matters
-    // only for speed: Reach.freeze() performs N² convertibility checks that
-    // become single int16 loads once the type system's matrix is in place,
-    // and it walks member edges, which the CSR layout serves linearly.
+    // Build the flat tables. The method unions are filled directly, never
+    // from the lazy caches.
     TS.freezeDenseDistances(Opts.MaxDenseBytes);
     Members.freeze();
     Methods.freeze();
-    ReachDense = Reach.freeze(Opts.MaxDenseBytes);
   } else {
     Methods.warmAll();
   }
-  // Where the lazy form is kept (no dense budget, or the reachability
-  // matrices exceed it), warm it so later reads never fill a cache.
-  if (!ReachDense)
-    Reach.warmAll();
   Frozen = true;
 }
 
@@ -111,15 +83,13 @@ size_t CompletionIndexes::memoryBytes() const {
   // previous version (or the base); only the fresh inference is new heap.
   size_t Bytes = Infer.memoryBytes();
   if (!SharedTypeGraph)
-    Bytes += Methods.memoryBytes() + Members.memoryBytes() +
-             Reach.memoryBytes();
+    Bytes += Methods.memoryBytes() + Members.memoryBytes();
   return Bytes;
 }
 
 void CompletionIndexes::adoptFrozenTables() {
   assert(!Frozen && "indexes already frozen");
   assert(TS.denseDistancesFrozen() && Members.frozen() && Methods.frozen() &&
-         Reach.frozen() &&
          "adoptFrozenTables() requires every sub-index to hold adopted "
          "tables already");
   Frozen = true;
@@ -167,7 +137,6 @@ CompletionEngine::complete(const PartialExpr *Query, const CodeSite &Site,
   ES.Rank = &Rank;
   ES.MIndex = &Idx.Methods;
   ES.Members = &Idx.Members;
-  ES.Reach = Opts.UseReachabilityPruning ? &Idx.Reach : nullptr;
   ES.Class = Site.Class;
   ES.Method = Site.Method;
   ES.StmtIndex = Site.StmtIndex;

@@ -28,7 +28,6 @@
 #include "complete/Streams.h"
 #include "index/MemberCache.h"
 #include "index/MethodIndex.h"
-#include "index/ReachabilityIndex.h"
 #include "infer/AbstractTypes.h"
 #include "partial/PartialExpr.h"
 #include "rank/Ranking.h"
@@ -44,19 +43,20 @@ struct BaseCorpus;
 /// Controls how CompletionIndexes::freeze() builds the flat tables (see
 /// DESIGN.md, "Frozen index memory layout").
 struct FreezeOptions {
-  /// Byte budget for each family of dense TypeId×TypeId int16 matrices
-  /// (the type system's conversion distances, and the reachability index's
-  /// exact- and convertible-distance tables). Corpora whose matrices would
-  /// exceed the budget keep the warmed lazy path for that index instead.
-  /// 0 builds no flat tables at all — freeze() then only warms the lazy
-  /// caches, the independent reference the equivalence tests compare the
-  /// directly built tables against.
+  /// Byte budget for the one dense TypeId×TypeId int16 matrix, the type
+  /// system's conversion distances. Corpora whose matrix would exceed the
+  /// budget keep the warmed lazy ancestor caches instead. 0 builds no flat
+  /// tables at all — freeze() then only warms the lazy caches, the
+  /// independent reference the equivalence tests compare the directly
+  /// built tables against.
   size_t MaxDenseBytes = 256u << 20;
 };
 
 /// The shared, query-independent indexes: the method index (§4.2), the
-/// member-lookup cache, the reachability index, and the abstract type
-/// inference. Build once per corpus.
+/// member-lookup cache, and the abstract type inference. Build once per
+/// corpus. (The paper's optional reachability index is not among them:
+/// the engine computes the reach rows a query needs from the member
+/// edges, per query — see EngineState::reachRow.)
 ///
 /// Concurrency: several of the indexes populate caches lazily on first
 /// query, which is only safe single-threaded. Call freeze() once before
@@ -65,29 +65,27 @@ struct FreezeOptions {
 /// there is no lock anywhere on the post-freeze query read path. See
 /// DESIGN.md, "Concurrency model".
 ///
-/// Ownership: the four indexes are held by shared_ptr internally and
+/// Ownership: the three indexes are held by shared_ptr internally and
 /// exposed as references. The split exists for incremental document
 /// rebuilds (DESIGN.md §12): the type-graph-derived indexes (Methods,
-/// Members, Reach) depend only on the TypeSystem, so when an edit leaves
+/// Members) depend only on the TypeSystem, so when an edit leaves
 /// the type graph untouched the sharing constructor aliases the previous
 /// version's *frozen* tables — immutable, hence race-free across the old
 /// and new document — while Infer, which reads every method body, is
 /// rebuilt against the new Program.
 ///
-/// In overlay mode (base/overlay workspace, DESIGN.md §14) the four index
+/// In overlay mode (base/overlay workspace, DESIGN.md §14) the three index
 /// objects hold only the document's entities and answer base-entity
 /// queries from the shared BaseCorpus's frozen tables; the overlay
 /// constructor wires each sub-index to its base counterpart. The engine
-/// reads the same four references either way.
+/// reads the same three references either way.
 struct CompletionIndexes {
   explicit CompletionIndexes(Program &P)
       : MethodsPtr(std::make_shared<MethodIndex>(P.typeSystem())),
         MembersPtr(std::make_shared<MemberCache>(P.typeSystem())),
-        ReachPtr(std::make_shared<ReachabilityIndex>(P.typeSystem(),
-                                                     *MembersPtr)),
         InferPtr(std::make_shared<AbstractTypeInference>(P)),
-        Methods(*MethodsPtr), Members(*MembersPtr), Reach(*ReachPtr),
-        Infer(*InferPtr), TS(P.typeSystem()) {}
+        Methods(*MethodsPtr), Members(*MembersPtr), Infer(*InferPtr),
+        TS(P.typeSystem()) {}
 
   /// Overlay constructor: \p P is a document program resolved against
   /// \p BaseIn's symbol tables (its TypeSystem was built with the overlay
@@ -105,12 +103,12 @@ struct CompletionIndexes {
   /// fresh inference extends the base solution again.
   CompletionIndexes(Program &P, const CompletionIndexes &Prev);
 
-  /// Builds the immutable flat tables — TypeId×TypeId int16 distance
-  /// matrices, CSR member edges, and contiguous pre-merged method-index
-  /// spans. The method unions and the reachability rows are filled
-  /// directly; the type system's ancestor distances and the member edges
-  /// are still warmed and then packed. Where the lazy form is kept (budget
-  /// 0, or a dense budget refused), its caches are warmed instead.
+  /// Builds the immutable flat tables — the TypeId×TypeId int16 distance
+  /// matrix, CSR member edges, and contiguous pre-merged method-index
+  /// spans. The method unions are filled directly; the type system's
+  /// ancestor distances and the member edges are still warmed and then
+  /// packed. Where the lazy form is kept (budget 0, or the dense budget
+  /// refused), its caches are warmed instead.
   /// Idempotent; required before concurrent use, harmless (and often
   /// useful — first-touch cost moves out of the measured path) in
   /// single-threaded use.
@@ -121,8 +119,8 @@ struct CompletionIndexes {
   /// Marks the indexes frozen after the snapshot loader has installed
   /// mapped tables into every sub-index via their adoptFrozen hooks.
   /// freeze() must NOT run on this path — it would rebuild the tables the
-  /// snapshot supplies. Requires all four dense stores to be populated
-  /// already.
+  /// snapshot supplies. Requires the type system's matrix and both CSR
+  /// stores to be populated already.
   void adoptFrozenTables();
 
   /// True when this instance aliases a previous version's type-graph
@@ -137,25 +135,19 @@ struct CompletionIndexes {
   /// corpus.
   const std::shared_ptr<const BaseCorpus> &baseCorpus() const { return Base; }
 
-  /// Approximate heap bytes owned by the four index layers (a shared base
+  /// Approximate heap bytes owned by the three index layers (a shared base
   /// or a previous version's aliased tables are not re-counted).
   size_t memoryBytes() const;
 
 private:
-  // NOTE on member order: Reach holds a reference to Members (its BFS
-  // walks the member edges), so MembersPtr must be declared — and
-  // therefore constructed — before ReachPtr, and destroyed after it.
-  // Engine.cpp static_asserts this ordering; do not reorder these fields.
   // The reference members below must follow the pointers they bind to.
   std::shared_ptr<MethodIndex> MethodsPtr;
   std::shared_ptr<MemberCache> MembersPtr;
-  std::shared_ptr<ReachabilityIndex> ReachPtr;
   std::shared_ptr<AbstractTypeInference> InferPtr;
 
 public:
   MethodIndex &Methods;
   MemberCache &Members;
-  ReachabilityIndex &Reach;
   AbstractTypeInference &Infer;
 
 private:
@@ -185,9 +177,6 @@ struct CompletionOptions {
   int ScoreCeiling = 256;
   /// Star-suffix chain-length cap (see EngineState::MaxChainLen).
   int MaxChainLen = 4;
-  /// Disable to measure the effect of the reachability index (an ablation;
-  /// the paper describes the index but did not implement it).
-  bool UseReachabilityPruning = true;
   /// Disable to skip the abstract-type term without rebuilding options.
   bool UseAbstractTypes = true;
   /// Attach a per-term ScoreCard to every returned completion (see

@@ -121,18 +121,20 @@ bool SuffixStream::emits(const Candidate &C) const {
   return ES.TS->implicitlyConvertible(C.Type, Target);
 }
 
-bool SuffixStream::worthExpanding(const Candidate &C) const {
+bool SuffixStream::worthExpanding(const Candidate &C) {
   if (!isValidId(C.Type))
     return false; // cannot look up members on a don't-care
   if (C.Depth >= ES.MaxChainLen)
     return false; // chain-length exploration bound
-  if (!isValidId(Target) || !ES.Reach)
+  if (!isValidId(Target))
     return true;
   // Reachability pruning: drop states that can never produce a value
-  // convertible to the target, no matter how many lookups follow.
-  return ES.Reach
-      ->minLookupsToConvertible(C.Type, Target, suffixAllowsMethods(Kind))
-      .has_value();
+  // convertible to the target, no matter how many lookups follow. This is
+  // not only a speed-up: dead states kept out of the pool leave room under
+  // MaxPoolPerBucket for live ones, so it can change which chains emit.
+  if (!Row)
+    Row = &ES.reachRow(Target, suffixAllowsMethods(Kind));
+  return (*Row)[C.Type] >= 0;
 }
 
 void SuffixStream::expand(const Candidate &C, CandidateVec &Out) {

@@ -31,12 +31,13 @@
 #include "complete/Candidate.h"
 #include "index/MemberCache.h"
 #include "index/MethodIndex.h"
-#include "index/ReachabilityIndex.h"
 #include "partial/PartialExpr.h"
 #include "rank/Ranking.h"
 
+#include <cstdint>
 #include <memory>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 namespace petal {
@@ -48,7 +49,6 @@ struct EngineState {
   const Ranker *Rank = nullptr;
   const MethodIndex *MIndex = nullptr;
   const MemberCache *Members = nullptr;
-  const ReachabilityIndex *Reach = nullptr; ///< optional pruning index
   const CodeClass *Class = nullptr;
   const CodeMethod *Method = nullptr;
   size_t StmtIndex = static_cast<size_t>(-1);
@@ -72,12 +72,27 @@ struct EngineState {
   /// caller with the completions, while scratch dies with the query, so
   /// batched results do not retain dead enumeration storage. Null = heap.
   Arena *Scratch = nullptr;
+
+  /// The reach row toward \p Target over one edge set (index/MemberCache.h),
+  /// computed on first use and memoized for the rest of the query. The
+  /// state is per query, so the memo needs no lock; the reference stays
+  /// valid for the state's lifetime.
+  const std::vector<int8_t> &reachRow(TypeId Target, bool MethodsAllowed) {
+    uint64_t Key = (static_cast<uint64_t>(Target) << 1) | MethodsAllowed;
+    auto [It, Inserted] = ReachRows.try_emplace(Key);
+    if (Inserted)
+      It->second = lookupsToConvertible(*TS, *Members, Target, MethodsAllowed);
+    return It->second;
+  }
+
+private:
+  std::unordered_map<uint64_t, std::vector<int8_t>> ReachRows;
 };
 
 /// Builds the stream for a partial expression. \p Target, when valid,
 /// restricts *emitted* candidates to those implicitly convertible to it
-/// (expansion may still pass through other types) and enables
-/// reachability pruning.
+/// (expansion may still pass through other types) and enables star-suffix
+/// pruning by reach row.
 std::unique_ptr<CandidateStream>
 buildStream(EngineState &ES, const PartialExpr *PE, TypeId Target = InvalidId);
 
@@ -118,8 +133,8 @@ private:
 
 /// `base.?f` / `.?*f` / `.?m` / `.?*m`: emits the base candidates (any
 /// suffix may complete to nothing) plus one or, for the star forms, any
-/// number of lookup steps. With a Target and a ReachabilityIndex, states
-/// that can never reach a convertible type are pruned.
+/// number of lookup steps. With a Target, states that can never reach a
+/// convertible type (EngineState::reachRow) are pruned.
 class SuffixStream : public CandidateStream {
 public:
   SuffixStream(EngineState &ES, std::unique_ptr<CandidateStream> Base,
@@ -130,12 +145,15 @@ private:
   /// Appends the single-step expansions of \p C to \p Out (score += step).
   void expand(const Candidate &C, CandidateVec &Out);
   bool emits(const Candidate &C) const;
-  bool worthExpanding(const Candidate &C) const;
+  bool worthExpanding(const Candidate &C);
 
   EngineState &ES;
   std::unique_ptr<CandidateStream> Base;
   SuffixKind Kind;
   TypeId Target;
+  /// The reach row toward Target for this suffix's edge set; fetched on
+  /// the first expansion decision.
+  const std::vector<int8_t> *Row = nullptr;
   /// Pool[S]: all chain states (emitted or not) of score S, the expansion
   /// frontier for score S + step. Arena-backed like the buckets.
   std::vector<CandidateVec> Pool;

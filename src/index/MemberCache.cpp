@@ -139,3 +139,52 @@ size_t MemberCache::memoryBytes() const {
     Bytes += V.capacity() * sizeof(LookupEdge);
   return Bytes;
 }
+
+std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
+                                                const MemberCache &Members,
+                                                TypeId Target,
+                                                bool MethodsAllowed,
+                                                int MaxDepth) {
+  assert(MaxDepth < INT8_MAX && "lookup distance overflows int8");
+  size_t N = TS.numTypes();
+  auto ForEachEdge = [&](auto &&Visit) {
+    for (size_t T = 0; T != N; ++T) {
+      TypeId From = static_cast<TypeId>(T);
+      const auto Edges = Members.edges(From);
+      size_t Limit =
+          MethodsAllowed ? Edges.size() : Members.numFieldEdges(From);
+      for (size_t I = 0; I != Limit; ++I)
+        Visit(From, Edges[I].ResultType);
+    }
+  };
+  // The edge set reversed, in CSR form: the types with an edge into T are
+  // Preds[Start[T] .. Start[T+1]).
+  std::vector<uint32_t> Start(N + 1, 0);
+  ForEachEdge([&](TypeId, TypeId To) { ++Start[To + 1]; });
+  for (size_t T = 0; T != N; ++T)
+    Start[T + 1] += Start[T];
+  std::vector<TypeId> Preds(Start[N]);
+  std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+  ForEachEdge([&](TypeId From, TypeId To) { Preds[Fill[To]++] = From; });
+
+  // Breadth-first backwards from the convertible types; the queue holds
+  // types in nondecreasing distance order.
+  std::vector<int8_t> Row(N, -1);
+  std::vector<TypeId> Queue;
+  for (size_t T = 0; T != N; ++T)
+    if (TS.implicitlyConvertible(static_cast<TypeId>(T), Target)) {
+      Row[T] = 0;
+      Queue.push_back(static_cast<TypeId>(T));
+    }
+  for (size_t Head = 0; Head != Queue.size(); ++Head) {
+    TypeId Cur = Queue[Head];
+    if (Row[Cur] == MaxDepth)
+      continue;
+    for (uint32_t I = Start[Cur]; I != Start[Cur + 1]; ++I)
+      if (Row[Preds[I]] < 0) {
+        Row[Preds[I]] = static_cast<int8_t>(Row[Cur] + 1);
+        Queue.push_back(Preds[I]);
+      }
+  }
+  return Row;
+}

@@ -9,8 +9,8 @@
 /// For each type, the lookup steps a `.?f` / `.?m` suffix may take from a
 /// value of that type: instance fields/properties (including inherited) and,
 /// for the `m` forms, zero-argument non-void instance methods. Cached per
-/// type; shared by the completion engine's star expansion and the
-/// reachability index.
+/// type; shared by the completion engine's star expansion and its
+/// per-query reach rows (lookupsToConvertible below).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,6 +138,23 @@ private:
   // Shared by both representations.
   mutable std::vector<size_t> FieldCounts;
 };
+
+/// One reach row over the whole type population: entry T is the minimum
+/// number of lookups (0 = the value itself) from a value of type T to a
+/// value implicitly convertible to \p Target, or -1 when no chain of at
+/// most \p MaxDepth lookups gets there. \p MethodsAllowed selects the
+/// `.?*m` edge set (fields and zero-argument methods) over `.?*f` (fields
+/// only). The paper describes such a reachability index (§4.2) but did not
+/// implement it; the engine computes the rows it needs per query (one per
+/// expected type and edge set) instead of keeping N² tables.
+///
+/// A breadth-first search backwards along the edges from the convertible
+/// types: O(types + edges) per row. It reads base types through edges(),
+/// so an overlay needs no special case.
+std::vector<int8_t> lookupsToConvertible(const TypeSystem &TS,
+                                         const MemberCache &Members,
+                                         TypeId Target, bool MethodsAllowed,
+                                         int MaxDepth = 8);
 
 } // namespace petal
 

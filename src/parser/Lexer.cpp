@@ -8,6 +8,8 @@
 #include "parser/Lexer.h"
 
 #include <algorithm>
+#include <charconv>
+#include <system_error>
 
 using namespace petal;
 
@@ -236,13 +238,20 @@ Token Lexer::next() {
     }
     Col += static_cast<unsigned>(Pos - Begin - 1);
     T.Text.assign(Source.substr(Begin, Pos - Begin));
-    if (IsFloat) {
-      T.Kind = TokKind::FloatLit;
-      T.FloatValue = std::stod(T.Text);
-    } else {
-      T.Kind = TokKind::IntLit;
-      T.IntValue = std::stoll(T.Text);
+    const char *First = T.Text.data(), *Last = First + T.Text.size();
+    // The scan above admits only digits (and one interior dot), so the
+    // only way the conversion fails is a value out of range: reported as
+    // a diagnostic, never thrown.
+    std::from_chars_result R =
+        IsFloat ? std::from_chars(First, Last, T.FloatValue)
+                : std::from_chars(First, Last, T.IntValue);
+    if (R.ec != std::errc()) {
+      Diags.error(T.Loc, IsFloat ? "float literal is out of range"
+                                 : "integer literal is out of range");
+      T.Kind = TokKind::Error;
+      return T;
     }
+    T.Kind = IsFloat ? TokKind::FloatLit : TokKind::IntLit;
     return T;
   }
 

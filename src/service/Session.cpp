@@ -314,8 +314,6 @@ bool petal::parseCompleteSpec(const json::Value &Params, CompleteSpec &Out,
       std::clamp<int64_t>(MaxScore, 0, int64_t(O.ScoreCeiling) + 1));
   O.MaxChainLen =
       static_cast<int>(Params.getInt("maxChainLen", O.MaxChainLen));
-  O.UseReachabilityPruning =
-      Params.getBool("reachability", O.UseReachabilityPruning);
   O.UseAbstractTypes = Params.getBool("abstractTypes", O.UseAbstractTypes);
   O.Explain = Params.getBool("explain", false);
   return true;
@@ -338,7 +336,6 @@ std::string petal::encodeSpecKey(const CompleteSpec &Spec) {
   Key += std::to_string(Spec.Opts.MaxScore);
   Key += '\x1f';
   Key += std::to_string(Spec.Opts.MaxChainLen);
-  Key += Spec.Opts.UseReachabilityPruning ? 'R' : 'r';
   Key += Spec.Opts.UseAbstractTypes ? 'A' : 'a';
   Key += Spec.Opts.Explain ? 'E' : 'e';
   return Key;

@@ -28,14 +28,6 @@ const char *snapshot::sectionKindName(uint32_t Kind) {
     return "sourceText";
   case SecTypeDist:
     return "typeDist";
-  case SecReachDistF:
-    return "reachDistFields";
-  case SecReachDistM:
-    return "reachDistMethods";
-  case SecReachConvF:
-    return "reachConvFields";
-  case SecReachConvM:
-    return "reachConvMethods";
   case SecMemberOffsets:
     return "memberOffsets";
   case SecMemberEdges:
@@ -76,7 +68,7 @@ bool snapshot::writeSnapshot(const std::string &Path,
                              std::string &Error) {
   const TypeSystem &TS = Idx.typeSystem();
   if (!Idx.frozen() || !TS.denseDistancesFrozen() || !Idx.Members.frozen() ||
-      !Idx.Methods.frozen() || !Idx.Reach.frozen()) {
+      !Idx.Methods.frozen()) {
     Error = "snapshot: corpus is not fully frozen (dense tables missing); "
             "freeze() with a sufficient MaxDenseBytes budget first";
     return false;
@@ -109,10 +101,6 @@ bool snapshot::writeSnapshot(const std::string &Path,
   std::vector<uint64_t> FieldCounts64(FC.begin(), FC.end());
 
   Span<const int16_t> TypeDist = TS.denseDistanceTable();
-  Span<const int16_t> RDistF = Idx.Reach.denseDistTable(false);
-  Span<const int16_t> RDistM = Idx.Reach.denseDistTable(true);
-  Span<const int16_t> RConvF = Idx.Reach.denseConvTable(false);
-  Span<const int16_t> RConvM = Idx.Reach.denseConvTable(true);
   Span<const uint32_t> MemberOffs = Idx.Members.frozenOffsets();
   Span<const uint32_t> UnionOffs = Idx.Methods.frozenUnionOffsets();
   Span<const MethodId> UnionData = Idx.Methods.frozenUnionData();
@@ -126,10 +114,6 @@ bool snapshot::writeSnapshot(const std::string &Path,
   const Payload Payloads[] = {
       {SecSourceText, SourceText.data(), SourceText.size()},
       {SecTypeDist, TypeDist.data(), TypeDist.size() * sizeof(int16_t)},
-      {SecReachDistF, RDistF.data(), RDistF.size() * sizeof(int16_t)},
-      {SecReachDistM, RDistM.data(), RDistM.size() * sizeof(int16_t)},
-      {SecReachConvF, RConvF.data(), RConvF.size() * sizeof(int16_t)},
-      {SecReachConvM, RConvM.data(), RConvM.size() * sizeof(int16_t)},
       {SecMemberOffsets, MemberOffs.data(),
        MemberOffs.size() * sizeof(uint32_t)},
       {SecMemberEdges, CleanEdges.data(),
@@ -338,7 +322,7 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
     return nullptr;
 
   // Every kind must appear exactly once.
-  const SectionEntry *Secs[13] = {};
+  const SectionEntry *Secs[SecSolution + 1] = {};
   for (uint32_t K = SecSourceText; K <= SecSolution; ++K) {
     const SectionEntry *S = findSection(Table, K);
     if (!S) {
@@ -388,15 +372,10 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
   }
 
   // Shape-check every table against the resolved corpus before adoption.
-  size_t MatrixBytes = N * N * sizeof(int16_t);
-  for (uint32_t K :
-       {SecTypeDist, SecReachDistF, SecReachDistM, SecReachConvF,
-        SecReachConvM})
-    if (Secs[K]->Size != MatrixBytes) {
-      Error = std::string("snapshot: section '") + sectionKindName(K) +
-              "' has the wrong size for this corpus";
-      return nullptr;
-    }
+  if (Secs[SecTypeDist]->Size != N * N * sizeof(int16_t)) {
+    Error = "snapshot: section 'typeDist' has the wrong size for this corpus";
+    return nullptr;
+  }
   if (Secs[SecMemberOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
       Secs[SecUnionOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
       Secs[SecMemberFieldCounts]->Size != N * sizeof(uint64_t)) {
@@ -454,12 +433,6 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
   Snap->TS->adoptDenseDistances(
       reinterpret_cast<const int16_t *>(Data + Secs[SecTypeDist]->Offset), N,
       File);
-  Snap->Idx->Reach.adoptFrozen(
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachDistF]->Offset),
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachDistM]->Offset),
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvF]->Offset),
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvM]->Offset),
-      N, File);
   const auto *Counts64 = reinterpret_cast<const uint64_t *>(
       Data + Secs[SecMemberFieldCounts]->Offset);
   Snap->Idx->Members.adoptFrozen(
@@ -519,10 +492,10 @@ petal::baseCorpusFromSource(const std::string &Source, std::string &Error,
 
   Base->Idx = std::make_shared<CompletionIndexes>(*Base->P);
   Base->Idx->freeze(Opts);
-  if (!Base->TS->denseDistancesFrozen() || !Base->Idx->Reach.frozen()) {
-    // Overlays read the base through its dense matrices only; the lazy
-    // fallbacks mutate caches that would then be shared across session
-    // threads. Refuse rather than build an unshareable base.
+  if (!Base->TS->denseDistancesFrozen()) {
+    // Overlays read base×base conversions through the dense matrix only;
+    // the lazy fallback mutates caches that would then be shared across
+    // session threads. Refuse rather than build an unshareable base.
     Error = "base corpus exceeds the dense freeze budget (" +
             std::to_string(Opts.MaxDenseBytes) +
             " bytes); raise FreezeOptions::MaxDenseBytes";

@@ -11,8 +11,8 @@
 /// petal_snapshot_tool --from) and mapped read-only by any number of petald
 /// processes afterwards as their shared base corpus (petal_serve
 /// --base-snapshot, baseCorpusFromSnapshot below). Loading skips the O(N²)
-/// dense distance matrices, the four reachability matrices, the member and
-/// method-union CSR tables, and the whole-corpus abstract-type solve by
+/// dense distance matrix, the member and method-union CSR tables, and the
+/// whole-corpus abstract-type solve by
 /// adopting those tables straight out of the file mapping (zero-copy; the
 /// indexes pin the mapping via shared_ptr keep-alives).
 ///
@@ -46,7 +46,7 @@ namespace snapshot {
 
 /// Bumped on any incompatible layout change; a mismatch makes the loader
 /// refuse (the caller falls back to a full build).
-inline constexpr uint32_t FormatVersion = 1;
+inline constexpr uint32_t FormatVersion = 2;
 
 /// First eight bytes of every snapshot file.
 inline constexpr char Magic[8] = {'P', 'E', 'T', 'A', 'L', 'S', 'N', 'P'};
@@ -84,18 +84,14 @@ static_assert(sizeof(Header) == 88, "snapshot header layout drifted");
 /// aligned in the file, so mapped pointers satisfy the alignment of every
 /// element type they are reinterpreted as.
 enum SectionKind : uint32_t {
-  SecSourceText = 1,   ///< the corpus source (bytes, not NUL-terminated)
-  SecTypeDist = 2,     ///< TypeSystem dense distances, N²×int16
-  SecReachDistF = 3,   ///< reachability minLookups, fields-only, N²×int16
-  SecReachDistM = 4,   ///< reachability minLookups, fields+methods
-  SecReachConvF = 5,   ///< minLookupsToConvertible, fields-only
-  SecReachConvM = 6,   ///< minLookupsToConvertible, fields+methods
-  SecMemberOffsets = 7,    ///< member CSR offsets, (N+1)×uint32
-  SecMemberEdges = 8,      ///< member CSR payload, E×LookupEdge
-  SecMemberFieldCounts = 9, ///< leading-field-edge counts, N×uint64
-  SecUnionOffsets = 10,    ///< method-union CSR offsets, (N+1)×uint32
-  SecUnionData = 11,       ///< method-union CSR payload, U×MethodId
-  SecSolution = 12,        ///< abstract-type solution parents, V×uint32
+  SecSourceText = 1,        ///< the corpus source (bytes, not NUL-terminated)
+  SecTypeDist = 2,          ///< TypeSystem dense distances, N²×int16
+  SecMemberOffsets = 3,     ///< member CSR offsets, (N+1)×uint32
+  SecMemberEdges = 4,       ///< member CSR payload, E×LookupEdge
+  SecMemberFieldCounts = 5, ///< leading-field-edge counts, N×uint64
+  SecUnionOffsets = 6,      ///< method-union CSR offsets, (N+1)×uint32
+  SecUnionData = 7,         ///< method-union CSR payload, U×MethodId
+  SecSolution = 8,          ///< abstract-type solution parents, V×uint32
 };
 
 /// One entry of the section table (follows the header, NumSections rows).
@@ -164,8 +160,8 @@ const char *sectionKindName(uint32_t Kind);
 /// workspace's shared base layer (complete/BaseCorpus.h). Fails — null with
 /// a reason in \p Error — on parse/resolve errors, and also when the corpus
 /// exceeds \p Opts' dense budget: overlays answer base-layer queries from
-/// the base's dense matrices, and falling back to the base's lazy caches
-/// would mutate shared state under concurrent readers.
+/// the base's dense distance matrix, and falling back to the base's lazy
+/// caches would mutate shared state under concurrent readers.
 std::shared_ptr<const BaseCorpus>
 baseCorpusFromSource(const std::string &Source, std::string &Error,
                      const FreezeOptions &Opts = {});

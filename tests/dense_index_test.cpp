@@ -5,15 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The frozen dense tables (TypeId×TypeId distance matrices, CSR member
+// The frozen dense tables (the TypeId×TypeId distance matrix, CSR member
 // edges, pre-merged method-index spans — see DESIGN.md §11) are a pure
 // representation change: every query they answer must be *value-identical*
 // to the legacy lazy path. These tests enforce that exhaustively — every
 // (type, type) pair, every member-edge list, every method-candidate list —
 // on pairs of identically generated corpora (all seven paper profiles, plus
-// one scale deep enough to hit the reachability depth cut-off), one frozen
-// dense and one kept on the warmed lazy path (FreezeOptions::MaxDenseBytes
-// = 0). The lazy path is an independent reference: freeze() fills the
+// one larger PaintNet), one frozen dense and one kept on the warmed lazy
+// path (FreezeOptions::MaxDenseBytes = 0). The lazy path is an independent reference: freeze() fills the
 // dense tables directly, never from the lazy caches. A concurrent
 // stress case (run under TSan via scripts/ci.sh; the suite name matches
 // the IndexStress regex) hammers the lock-free tables from eight threads.
@@ -72,21 +71,20 @@ std::unique_ptr<CorpusPair> makePair(const ProjectProfile &Prof,
   return C;
 }
 
-/// Scale at which the reachability BFS outruns the default MaxDepth (8):
-/// PaintNet there has lookup chains 13 steps deep, so the direct row fill's
-/// depth cut-off is exercised, not just its full closures.
-constexpr double TruncatingScale = 0.5;
+/// A larger scale for one more pair, and for the overlay case's base:
+/// PaintNet there has deep supertype and lookup chains.
+constexpr double LargeScale = 0.5;
 
 /// The corpus pairs every DenseEquivalenceTest case walks: all seven paper
-/// profiles at scale 0.15, then PaintNet at TruncatingScale (last). Built
+/// profiles at scale 0.15, then PaintNet at LargeScale (last). Built
 /// once per test process.
 class DenseEquivalenceTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
     for (const ProjectProfile &Prof : paperProjectProfiles(0.15))
       Pairs.push_back(makePair(Prof, 0.15));
-    Pairs.push_back(makePair(paperProjectProfiles(TruncatingScale)[0],
-                             TruncatingScale));
+    Pairs.push_back(makePair(paperProjectProfiles(LargeScale)[0],
+                             LargeScale));
     for (const auto &C : Pairs)
       ASSERT_EQ(C->DenseTS->numTypes(), C->LegacyTS->numTypes()) << C->Label;
   }
@@ -105,14 +103,12 @@ TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
     EXPECT_TRUE(C->DenseTS->denseDistancesFrozen());
     EXPECT_TRUE(C->Dense->Members.frozen());
     EXPECT_TRUE(C->Dense->Methods.frozen());
-    EXPECT_TRUE(C->Dense->Reach.frozen());
 
     // Budget 0 keeps every index on the (warmed) lazy representation.
     EXPECT_TRUE(C->Legacy->frozen());
     EXPECT_FALSE(C->LegacyTS->denseDistancesFrozen());
     EXPECT_FALSE(C->Legacy->Members.frozen());
     EXPECT_FALSE(C->Legacy->Methods.frozen());
-    EXPECT_FALSE(C->Legacy->Reach.frozen());
   }
 }
 
@@ -134,49 +130,6 @@ TEST_F(DenseEquivalenceTest, TypeDistancesMatchLegacyOnEveryPair) {
             << DenseTS.qualifiedName(To);
       }
   }
-}
-
-TEST_F(DenseEquivalenceTest, ReachabilityMatchesLegacyOnEveryPair) {
-  for (const auto &C : Pairs) {
-    SCOPED_TRACE(C->Label);
-    const ReachabilityIndex &Dense = C->Dense->Reach;
-    const ReachabilityIndex &Legacy = C->Legacy->Reach;
-    size_t N = C->DenseTS->numTypes();
-    for (size_t F = 0; F != N; ++F)
-      for (size_t T = 0; T != N; ++T) {
-        TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-        for (bool Methods : {false, true}) {
-          ASSERT_EQ(Dense.minLookups(From, To, Methods),
-                    Legacy.minLookups(From, To, Methods))
-              << "minLookups " << F << " -> " << T << " methods=" << Methods;
-          ASSERT_EQ(Dense.minLookupsToConvertible(From, To, Methods),
-                    Legacy.minLookupsToConvertible(From, To, Methods))
-              << "minLookupsToConvertible " << F << " -> " << T
-              << " methods=" << Methods;
-        }
-      }
-  }
-
-  // The last pair must actually cut BFS runs off at the default depth: an
-  // unbounded index reaches some type in more than 8 lookups, and the
-  // frozen table reports that type unreachable.
-  const CorpusPair &Deepest = *Pairs.back();
-  ReachabilityIndex Unbounded(*Deepest.LegacyTS, Deepest.Legacy->Members,
-                              /*MaxDepth=*/64);
-  size_t Truncated = 0;
-  size_t N = Deepest.DenseTS->numTypes();
-  for (size_t F = 0; F != N; ++F)
-    for (bool Methods : {false, true})
-      for (const auto &[To, D] :
-           Unbounded.reachableFrom(static_cast<TypeId>(F), Methods))
-        if (D > 8) {
-          ++Truncated;
-          EXPECT_EQ(Deepest.Dense->Reach.minLookups(static_cast<TypeId>(F),
-                                                    To, Methods),
-                    std::nullopt);
-        }
-  EXPECT_GT(Truncated, 0u) << Deepest.Label
-                           << " no longer exercises the depth cut-off";
 }
 
 TEST_F(DenseEquivalenceTest, MemberEdgeListsMatchLegacyElementwise) {
@@ -218,17 +171,16 @@ TEST_F(DenseEquivalenceTest, MethodCandidateListsMatchLegacyInOrder) {
 }
 
 /// The overlay form of the same property: a document layered over a frozen
-/// base builds its method unions, base-type appendages and reachability
-/// delta rows directly, and must agree with the lazy overlay path entry
-/// for entry. The document subclasses a base class, holds base- and
-/// document-typed members, and declares methods over both, so every
-/// overlay table is non-trivial.
+/// base builds its method unions and base-type appendages directly, and
+/// must agree with the lazy overlay path entry for entry. The document
+/// subclasses a base class, holds base- and document-typed members, and
+/// declares methods over both, so every overlay table is non-trivial.
 TEST(DenseOverlayEquivalenceTest, OverlayTablesMatchTheLazyOverlayPath) {
   std::string BaseSrc;
   {
     TypeSystem Gen;
     Program GenP(Gen);
-    CorpusGenerator(paperProjectProfiles(TruncatingScale)[0]).generate(GenP);
+    CorpusGenerator(paperProjectProfiles(LargeScale)[0]).generate(GenP);
     BaseSrc = writeProgramSource(GenP);
   }
   std::string Error;
@@ -285,8 +237,8 @@ TEST(DenseOverlayEquivalenceTest, OverlayTablesMatchTheLazyOverlayPath) {
     return O;
   };
   Overlay Dense = Build(256u << 20), Lazy = Build(0);
-  ASSERT_TRUE(Dense.Idx->Methods.frozen() && Dense.Idx->Reach.frozen());
-  ASSERT_FALSE(Lazy.Idx->Methods.frozen() || Lazy.Idx->Reach.frozen());
+  ASSERT_TRUE(Dense.Idx->Methods.frozen());
+  ASSERT_FALSE(Lazy.Idx->Methods.frozen());
   size_t N = Dense.TS->numTypes(), NumBase = BTS.numTypes();
   ASSERT_EQ(N, Lazy.TS->numTypes());
   ASSERT_GT(N, NumBase);
@@ -304,20 +256,6 @@ TEST(DenseOverlayEquivalenceTest, OverlayTablesMatchTheLazyOverlayPath) {
       ++Appended;
   }
   EXPECT_GT(Appended, 0u) << "no base type gained an overlay method";
-
-  for (size_t F = NumBase; F != N; ++F)
-    for (size_t T = 0; T != N; ++T) {
-      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      for (bool Methods : {false, true}) {
-        ASSERT_EQ(Dense.Idx->Reach.minLookups(From, To, Methods),
-                  Lazy.Idx->Reach.minLookups(From, To, Methods))
-            << "minLookups " << F << " -> " << T << " methods=" << Methods;
-        ASSERT_EQ(Dense.Idx->Reach.minLookupsToConvertible(From, To, Methods),
-                  Lazy.Idx->Reach.minLookupsToConvertible(From, To, Methods))
-            << "minLookupsToConvertible " << F << " -> " << T
-            << " methods=" << Methods;
-      }
-    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -374,7 +312,6 @@ TEST(DenseEngineEquivalenceTest, TinyBudgetFallsBackToLazyAndStillAnswers) {
   Idx.freeze(FreezeOptions{/*MaxDenseBytes=*/1});
   EXPECT_TRUE(Idx.frozen());
   EXPECT_FALSE(TS.denseDistancesFrozen());
-  EXPECT_FALSE(Idx.Reach.frozen());
   // CSR compaction is not byte-budgeted (it shrinks storage); it still runs.
   EXPECT_TRUE(Idx.Members.frozen());
   EXPECT_TRUE(Idx.Methods.frozen());
@@ -399,7 +336,6 @@ TEST(DenseIndexStressTest, EightThreadsReadLockFreeTablesConsistently) {
   CorpusGenerator(paperProjectProfiles(0.1)[0]).generate(P);
   CompletionIndexes Idx(P);
   Idx.freeze();
-  ASSERT_TRUE(Idx.Reach.frozen());
   ASSERT_TRUE(TS.denseDistancesFrozen());
 
   auto Checksum = [&] {
@@ -411,14 +347,6 @@ TEST(DenseIndexStressTest, EightThreadsReadLockFreeTablesConsistently) {
         TypeId To = static_cast<TypeId>((I * 13 + 5) % N);
         Sum += Idx.Members.edges(From).size();
         Sum += Idx.Methods.candidatesForArgType(From).size();
-        for (bool Methods : {false, true}) {
-          Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookups(From, To, Methods).value_or(-1) + 2);
-          Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookupsToConvertible(From, To, Methods)
-                      .value_or(-1) +
-              2);
-        }
         Sum += TS.implicitlyConvertible(From, To);
         Sum +=
             static_cast<uint64_t>(TS.typeDistance(From, To).value_or(-1) + 2);

@@ -321,25 +321,6 @@ TEST_F(EngineTest, DepthDisabledStillTerminatesAndFinds) {
   EXPECT_TRUE(SawChain);
 }
 
-TEST_F(EngineTest, ReachabilityPruningDoesNotChangeResults) {
-  load(corpora::GeometryCorpus, "EllipseArc", "Examine");
-  CompletionOptions NoPrune;
-  NoPrune.UseReachabilityPruning = false;
-
-  const PartialExpr *Q = query("Distance(point, ?)");
-  std::vector<Completion> With = Engine->complete(Q, Site, 30);
-  std::vector<std::string> WithStrs;
-  for (const Completion &C : With)
-    WithStrs.push_back(printExpr(*TS, C.E));
-
-  std::vector<Completion> Without = Engine->complete(Q, Site, 30, NoPrune);
-  std::vector<std::string> WithoutStrs;
-  for (const Completion &C : Without)
-    WithoutStrs.push_back(printExpr(*TS, C.E));
-
-  EXPECT_EQ(WithStrs, WithoutStrs);
-}
-
 TEST_F(EngineTest, RankOfFindsTheGroundTruth) {
   load(corpora::GeometryCorpus, "EllipseArc", "Examine");
   // Ground truth: Distance(point, this.Center).

@@ -1,4 +1,4 @@
-//===- tests/index_test.cpp - Method/member/reachability index tests ------===//
+//===- tests/index_test.cpp - Method index, member cache, reach rows -----===//
 //
 // Part of the petal project, an open-source reproduction of "Type-Directed
 // Completion of Partial Expressions" (PLDI 2012).
@@ -8,13 +8,15 @@
 #include "corpus/Generator.h"
 #include "index/MemberCache.h"
 #include "index/MethodIndex.h"
-#include "index/ReachabilityIndex.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace petal;
 
@@ -156,8 +158,41 @@ TEST(MemberCacheTest, IncludesInheritedMembers) {
 }
 
 //===----------------------------------------------------------------------===//
-// ReachabilityIndex
+// Reach rows (lookupsToConvertible)
 //===----------------------------------------------------------------------===//
+
+/// Independent reference for one reach row: a forward BFS from every
+/// source type (MaxDepth lookups at most), then the minimum distance over
+/// the reached types convertible to the target.
+std::vector<int> forwardBfsRow(const TypeSystem &TS, const MemberCache &MC,
+                               TypeId Target, bool MethodsAllowed,
+                               int MaxDepth) {
+  size_t N = TS.numTypes();
+  std::vector<int> Row(N, -1);
+  for (size_t F = 0; F != N; ++F) {
+    std::vector<int> Dist(N, -1);
+    std::vector<TypeId> Work{static_cast<TypeId>(F)};
+    Dist[F] = 0;
+    for (size_t I = 0; I != Work.size(); ++I) {
+      TypeId Cur = Work[I];
+      if (TS.implicitlyConvertible(Cur, Target) &&
+          (Row[F] < 0 || Dist[Cur] < Row[F]))
+        Row[F] = Dist[Cur];
+      if (Dist[Cur] >= MaxDepth)
+        continue;
+      const auto Edges = MC.edges(Cur);
+      size_t Limit = MethodsAllowed ? Edges.size() : MC.numFieldEdges(Cur);
+      for (size_t E = 0; E != Limit; ++E) {
+        TypeId Next = Edges[E].ResultType;
+        if (Dist[Next] < 0) {
+          Dist[Next] = Dist[Cur] + 1;
+          Work.push_back(Next);
+        }
+      }
+    }
+  }
+  return Row;
+}
 
 class ReachTest : public ::testing::Test {
 protected:
@@ -172,49 +207,75 @@ protected:
     TS.addField(Line, "P1", Point);
     TS.addMethod(Line, "GetStyle", Style, {});
     MC = std::make_unique<MemberCache>(TS);
-    RI = std::make_unique<ReachabilityIndex>(TS, *MC);
+  }
+
+  std::vector<int8_t> row(TypeId Target, bool MethodsAllowed,
+                          int MaxDepth = 8) {
+    return lookupsToConvertible(TS, *MC, Target, MethodsAllowed, MaxDepth);
   }
 
   TypeSystem TS;
   NamespaceId Ns;
   TypeId Point, Style, Line;
   std::unique_ptr<MemberCache> MC;
-  std::unique_ptr<ReachabilityIndex> RI;
 };
 
 TEST_F(ReachTest, MinLookupCounts) {
-  EXPECT_EQ(RI->minLookups(Line, Line, true), 0);
-  EXPECT_EQ(RI->minLookups(Line, Point, true), 1);
-  EXPECT_EQ(RI->minLookups(Line, TS.doubleType(), true), 2);
-  // Style only reachable through the GetStyle() method edge.
-  EXPECT_EQ(RI->minLookups(Line, Style, true), 1);
-  EXPECT_FALSE(RI->minLookups(Line, Style, false).has_value());
-  // Fields-only still reaches double through P1.X.
-  EXPECT_EQ(RI->minLookups(Line, TS.doubleType(), false), 2);
-  EXPECT_FALSE(RI->minLookups(Point, Line, true).has_value());
+  // Nothing but a Point converts to the struct Point.
+  std::vector<int8_t> ToPoint = row(Point, /*MethodsAllowed=*/true);
+  ASSERT_EQ(ToPoint.size(), TS.numTypes());
+  EXPECT_EQ(ToPoint[Point], 0);
+  EXPECT_EQ(ToPoint[Line], 1);
+  EXPECT_EQ(ToPoint[Style], 1);
+  EXPECT_EQ(ToPoint[TS.doubleType()], -1);
+  EXPECT_EQ(row(Line, true)[Point], -1);
+  // Style is reached only through the GetStyle() method edge.
+  EXPECT_EQ(row(Style, true)[Line], 1);
+  EXPECT_EQ(row(Style, false)[Line], -1);
+  // Fields only still reaches double through P1.X.
+  EXPECT_EQ(row(TS.doubleType(), false)[Line], 2);
+  EXPECT_EQ(row(TS.doubleType(), true)[Line], 2);
 }
 
 TEST_F(ReachTest, ConvertibleTargets) {
   // Anything reaches a value convertible to Object immediately.
-  EXPECT_EQ(RI->minLookupsToConvertible(Line, TS.objectType(), true), 0);
-  // double is convertible to double only; from Point that is one lookup.
-  EXPECT_EQ(RI->minLookupsToConvertible(Point, TS.doubleType(), true), 1);
-  EXPECT_FALSE(
-      RI->minLookupsToConvertible(Point, Style, true).has_value());
+  EXPECT_EQ(row(TS.objectType(), true)[Line], 0);
+  EXPECT_EQ(row(TS.objectType(), true)[Point], 0);
+  // double from Point is one lookup; Style is never reached from Point.
+  EXPECT_EQ(row(TS.doubleType(), true)[Point], 1);
+  EXPECT_EQ(row(Style, true)[Point], -1);
+  // The null literal converts to the class Style without a lookup.
+  EXPECT_EQ(row(Style, true)[TS.nullType()], 0);
 }
 
 TEST_F(ReachTest, DepthCapBoundsTheSearch) {
-  // A self-referential chain: Node.Next.Next... never reaches Missing.
+  // C0 --next--> C1 --> ... --> C4 --p--> Point: Ci is 5 - i lookups from
+  // a Point. A self-referential Node.Next chain never reaches one.
+  std::vector<TypeId> Chain;
+  for (int I = 0; I != 5; ++I)
+    Chain.push_back(
+        TS.addType("C" + std::to_string(I), Ns, TypeKind::Class));
+  for (int I = 0; I != 4; ++I)
+    TS.addField(Chain[I], "Next", Chain[I + 1]);
+  TS.addField(Chain[4], "P", Point);
   TypeId Node = TS.addType("Node", Ns, TypeKind::Class);
   TS.addField(Node, "Next", Node);
-  MemberCache MC2(TS);
-  ReachabilityIndex Shallow(TS, MC2, /*MaxDepth=*/3);
-  EXPECT_EQ(Shallow.minLookups(Node, Node, true), 0);
-  EXPECT_FALSE(Shallow.minLookups(Node, Point, true).has_value());
+  MC = std::make_unique<MemberCache>(TS);
+
+  std::vector<int8_t> Deep = row(Point, true, /*MaxDepth=*/8);
+  for (int I = 0; I != 5; ++I)
+    EXPECT_EQ(Deep[Chain[I]], 5 - I) << "C" << I;
+  std::vector<int8_t> Shallow = row(Point, true, /*MaxDepth=*/3);
+  EXPECT_EQ(Shallow[Chain[2]], 3);
+  EXPECT_EQ(Shallow[Chain[1]], -1);
+  EXPECT_EQ(Shallow[Chain[0]], -1);
+  EXPECT_EQ(Deep[Node], -1);
+  EXPECT_EQ(row(Node, true, /*MaxDepth=*/3)[Node], 0);
 }
 
-/// Property: minLookups agrees with an independent BFS oracle on a
-/// generated corpus.
+/// Property: every reach row agrees with an independent forward BFS on a
+/// generated corpus, for both edge sets, at a depth cap the corpus's
+/// lookup chains outrun.
 TEST(ReachabilityPropertyTest, AgreesWithBfsOracle) {
   ProjectProfile Prof = paperProjectProfiles(0.15)[2];
   TypeSystem TS;
@@ -222,36 +283,28 @@ TEST(ReachabilityPropertyTest, AgreesWithBfsOracle) {
   CorpusGenerator Gen(Prof);
   Gen.generate(P);
   MemberCache MC(TS);
-  ReachabilityIndex RI(TS, MC, /*MaxDepth=*/4);
+  constexpr int MaxDepth = 4;
 
   Rng R(99);
+  size_t Truncated = 0;
   for (int Trial = 0; Trial != 40; ++Trial) {
-    TypeId From = static_cast<TypeId>(R.below(TS.numTypes()));
-    if (TS.type(From).Kind == TypeKind::Void)
-      continue;
-    // Oracle BFS over edges.
-    std::unordered_map<TypeId, int> Dist{{From, 0}};
-    std::vector<TypeId> Work{From};
-    for (size_t I = 0; I != Work.size(); ++I) {
-      TypeId Cur = Work[I];
-      if (Dist[Cur] >= 4)
-        continue;
-      for (const LookupEdge &E : MC.edges(Cur))
-        if (!Dist.count(E.ResultType)) {
-          Dist[E.ResultType] = Dist[Cur] + 1;
-          Work.push_back(E.ResultType);
-        }
-    }
-    for (size_t T = 0; T != TS.numTypes(); ++T) {
-      TypeId To = static_cast<TypeId>(T);
-      auto Got = RI.minLookups(From, To, true);
-      auto It = Dist.find(To);
-      if (It == Dist.end())
-        ASSERT_FALSE(Got.has_value());
-      else
-        ASSERT_EQ(Got, It->second);
+    TypeId Target = static_cast<TypeId>(R.below(TS.numTypes()));
+    for (bool Methods : {false, true}) {
+      std::vector<int8_t> Got =
+          lookupsToConvertible(TS, MC, Target, Methods, MaxDepth);
+      std::vector<int> Want = forwardBfsRow(TS, MC, Target, Methods, MaxDepth);
+      std::vector<int> Unbounded =
+          forwardBfsRow(TS, MC, Target, Methods, /*MaxDepth=*/64);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t F = 0; F != Want.size(); ++F) {
+        ASSERT_EQ(Got[F], Want[F])
+            << "from " << TS.qualifiedName(static_cast<TypeId>(F)) << " to "
+            << TS.qualifiedName(Target) << " methods=" << Methods;
+        Truncated += Want[F] < 0 && Unbounded[F] > MaxDepth;
+      }
     }
   }
+  EXPECT_GT(Truncated, 0u) << "the corpus no longer exercises the depth cap";
 }
 
 } // namespace

@@ -131,6 +131,27 @@ TEST(LexerTest, UnknownCharacterIsDiagnosed) {
   EXPECT_EQ(Toks.back().Kind, TokKind::Eof);
 }
 
+TEST(LexerTest, OutOfRangeLiteralsAreDiagnosed) {
+  // The largest int64 still lexes; one past the range of either literal
+  // kind is a located diagnostic and an error token, and lexing goes on.
+  auto Max = lex("9223372036854775807");
+  ASSERT_TRUE(Max[0].is(TokKind::IntLit));
+  EXPECT_EQ(Max[0].IntValue, INT64_MAX);
+
+  const std::string Src = "x = 99999999999999999999;\n  y = " +
+                          std::string(400, '9') + ".5;";
+  DiagnosticEngine D;
+  auto Toks = lex(Src.c_str(), &D);
+  ASSERT_EQ(D.errorCount(), 2u);
+  EXPECT_EQ(Toks[2].Kind, TokKind::Error);
+  EXPECT_EQ(Toks[6].Kind, TokKind::Error);
+  EXPECT_EQ(Toks.back().Kind, TokKind::Eof);
+  std::ostringstream OS;
+  D.print(OS);
+  EXPECT_EQ(OS.str(), "1:5: error: integer literal is out of range\n"
+                      "2:7: error: float literal is out of range\n");
+}
+
 TEST(LexerTest, BoolAndNullKeywords) {
   auto K = kinds("true false null comparable");
   std::vector<TokKind> Expected = {TokKind::KwTrue, TokKind::KwFalse,

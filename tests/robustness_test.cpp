@@ -242,6 +242,46 @@ TEST(ServiceRobustnessTest, MalformedChangeParamsKeepSessionAndVersion) {
   EXPECT_EQ(Resp.find("result")->getInt("version", -1), 1);
 }
 
+TEST(ServiceRobustnessTest, OutOfRangeLiteralsAreStructuredErrors) {
+  using namespace servicefuzz;
+  PetalService::Options Opts;
+  InProcessClient C(Opts);
+
+  // In a document: the open fails as a build error that locates the
+  // literal, and no session is left behind.
+  const std::string BigDoc = "class Big {\n"
+                             "  void M() {\n"
+                             "    var n = 99999999999999999999;\n"
+                             "  }\n"
+                             "}\n";
+  json::Value Open = C.call("petal/open", docParams("big.cs", BigDoc, 1));
+  EXPECT_EQ(errCode(Open), rpc::BuildFailed);
+  EXPECT_NE(Open.find("error")->getString("message").find(
+                "3:13: error: integer literal is out of range"),
+            std::string::npos)
+      << Open.write();
+
+  // In query text: an invalid-params error, and the session serves on.
+  ASSERT_EQ(errCode(C.call("petal/open",
+                           docParams("geo.cs", corpora::GeometryCorpus, 1))),
+            0);
+  for (const std::string &Literal :
+       {std::string("99999999999999999999"), std::string(400, '9') + ".5"}) {
+    json::Value Q = geoComplete("geo.cs");
+    Q.set("query", "Distance(point, " + Literal + ")");
+    json::Value Resp = C.call("petal/complete", Q);
+    EXPECT_EQ(errCode(Resp), rpc::InvalidParams);
+    EXPECT_NE(Resp.find("error")->getString("message").find(
+                  "1:17: error:"),
+              std::string::npos)
+        << Resp.write();
+    EXPECT_NE(Resp.find("error")->getString("message").find(
+                  "literal is out of range"),
+              std::string::npos);
+  }
+  EXPECT_EQ(errCode(C.call("petal/complete", geoComplete("geo.cs"))), 0);
+}
+
 TEST(ServiceRobustnessTest, FailedOpenLeavesNoSessionBehind) {
   using namespace servicefuzz;
   PetalService::Options Opts;

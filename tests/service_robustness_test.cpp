@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -398,11 +399,12 @@ TEST(IsolationTest, DeadlineAbandonedBuildLeavesSessionConsistent) {
   Value Before = C.call("petal/complete", Q);
   ASSERT_EQ(errorCode(Before), 0);
 
-  // A v2 text big enough that its build cannot finish inside the deadline:
-  // the deadline passes the pickup check (the worker is idle), then
-  // expires at one of the build's phase boundaries.
+  // A v2 text whose build takes tens of milliseconds, and a deadline of a
+  // third of that build, timed on this text first: the deadline passes the
+  // pickup check (the worker is idle), then expires at one of the build's
+  // phase boundaries, however fast the machine builds.
   std::string Big(corpora::GeometryCorpus);
-  for (int I = 0; I != 800; ++I) {
+  for (int I = 0; I != 2000; ++I) {
     std::string N = std::to_string(I);
     Big += "class Filler" + N + " {\n"
            "  System.Windows.Point Origin" + N + ";\n"
@@ -410,8 +412,19 @@ TEST(IsolationTest, DeadlineAbandonedBuildLeavesSessionConsistent) {
            "  void Touch" + N + "(System.Windows.Point p) { return; }\n"
            "}\n";
   }
+  double BuildMs = 1e9;
+  for (int Rep = 0; Rep != 2; ++Rep) {
+    auto Start = std::chrono::steady_clock::now();
+    std::string Error;
+    ASSERT_NE(buildDocumentState("probe.cs", Big, 1, /*DocThreads=*/1, Error),
+              nullptr)
+        << Error;
+    BuildMs = std::min(BuildMs, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - Start)
+                                    .count());
+  }
   Value Change = openParams("geo.cs", Big, 2);
-  Change.set("deadlineMs", 10.0);
+  Change.set("deadlineMs", BuildMs / 3);
   Value Resp = C.call("petal/change", std::move(Change));
   EXPECT_EQ(errorCode(Resp), rpc::DeadlineExceeded) << Resp.write();
   EXPECT_NE(errorMessage(Resp).find("abandoned"), std::string::npos)

@@ -315,12 +315,6 @@ TEST(IndexStressTest, EightThreadsHammerFrozenIndexes) {
           TypeId To = static_cast<TypeId>((I * 13 + T) % N);
           Sum += Idx.Members.edges(From).size();
           Sum += Idx.Methods.candidatesForArgType(From).size();
-          Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookups(From, To, true).value_or(-1) + 2);
-          Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookupsToConvertible(From, To, (I + T) % 2 == 0)
-                      .value_or(-1) +
-              2);
           Sum += TS.implicitlyConvertible(From, To);
           Sum += static_cast<uint64_t>(TS.typeDistance(From, To).value_or(-1) +
                                        2);
@@ -347,12 +341,6 @@ TEST(IndexStressTest, EightThreadsHammerFrozenIndexes) {
       TypeId To = static_cast<TypeId>((I * 13) % N);
       Serial += Idx.Members.edges(From).size();
       Serial += Idx.Methods.candidatesForArgType(From).size();
-      Serial += static_cast<uint64_t>(
-          Idx.Reach.minLookups(From, To, true).value_or(-1) + 2);
-      Serial += static_cast<uint64_t>(
-          Idx.Reach.minLookupsToConvertible(From, To, I % 2 == 0)
-                  .value_or(-1) +
-          2);
       Serial += TS.implicitlyConvertible(From, To);
       Serial +=
           static_cast<uint64_t>(TS.typeDistance(From, To).value_or(-1) + 2);

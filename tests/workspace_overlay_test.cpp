@@ -105,8 +105,7 @@ CompleteSpec spec(const std::string &Query) {
 /// the base corpus carries the vocabulary, the document carries the code),
 /// across every ranking dimension the engine distinguishes: the abstract
 /// term (whose overlay solution merely *extends* the frozen base
-/// solution), reachability pruning (whose overlay matrices cover only
-/// overlay rows), explain, and spec-string ablations.
+/// solution), explain, and spec-string ablations.
 std::vector<CompleteSpec> queryBattery() {
   std::vector<CompleteSpec> Qs;
   Qs.push_back(spec("?({point})"));
@@ -118,9 +117,6 @@ std::vector<CompleteSpec> queryBattery() {
   CompleteSpec NoAbs = spec("?({point})");
   NoAbs.Opts.UseAbstractTypes = false;
   Qs.push_back(NoAbs);
-  CompleteSpec NoReach = spec("?({point})");
-  NoReach.Opts.UseReachabilityPruning = false;
-  Qs.push_back(NoReach);
   CompleteSpec RankNone = spec("?({point})");
   RankNone.Opts.Rank = RankingOptions::fromSpec("none");
   Qs.push_back(RankNone);
@@ -208,6 +204,59 @@ TEST(WorkspaceOverlayTest, EditedOverlaysRebuildIncrementallyAndStayIdentical) {
   std::unique_ptr<DocumentState> M4 = buildMonolithic(V4Text, 4);
   ASSERT_NE(M4, nullptr);
   expectBitIdentical(*V4, *M4);
+}
+
+TEST(WorkspaceOverlayTest, ReachRowsMatchMonolithicTwin) {
+  // The engine's reach rows walk MemberCache::edges, which forwards base
+  // types to the base layer. A document whose types hold base- and
+  // document-typed members (and derive from a base class) must get the same
+  // row for every target as its monolithic twin, including the null
+  // literal's zero-lookup reach into document reference types.
+  const std::string Doc = docText() +
+                          "namespace OverlayDoc {\n"
+                          "  class Holder : DynamicGeometry.Shape {\n"
+                          "    DynamicGeometry.ShapeStyle Style;\n"
+                          "    OverlayDoc.Link Next;\n"
+                          "  }\n"
+                          "  class Link {\n"
+                          "    OverlayDoc.Holder Back;\n"
+                          "    DynamicGeometry.Glyph Mark();\n"
+                          "  }\n"
+                          "}\n";
+  std::shared_ptr<const BaseCorpus> Base = buildBase();
+  ASSERT_NE(Base, nullptr);
+  std::unique_ptr<DocumentState> Overlay = buildOverlay(Doc, 1, Base);
+  std::unique_ptr<DocumentState> Mono = buildMonolithic(Doc, 1);
+  ASSERT_TRUE(Overlay && Mono);
+  ASSERT_NE(Overlay->Base, nullptr);
+  size_t N = Mono->TS->numTypes(), NumBase = Base->TS->numTypes();
+  ASSERT_EQ(Overlay->TS->numTypes(), N);
+  ASSERT_GT(N, NumBase);
+
+  size_t CrossLayer = 0;
+  for (size_t T = 0; T != N; ++T)
+    for (bool Methods : {false, true}) {
+      TypeId Target = static_cast<TypeId>(T);
+      std::vector<int8_t> A = lookupsToConvertible(
+          *Overlay->TS, Overlay->Idx->Members, Target, Methods);
+      std::vector<int8_t> B =
+          lookupsToConvertible(*Mono->TS, Mono->Idx->Members, Target, Methods);
+      ASSERT_EQ(A, B) << "target " << Mono->TS->qualifiedName(Target)
+                      << " methods=" << Methods;
+      // Overlay types that reach a base target through a lookup chain.
+      if (T < NumBase)
+        for (size_t F = NumBase; F != N; ++F)
+          CrossLayer += A[F] > 0;
+    }
+  EXPECT_GT(CrossLayer, 0u);
+  TypeId Holder = InvalidId;
+  for (size_t T = NumBase; T != N; ++T)
+    if (Mono->TS->qualifiedName(static_cast<TypeId>(T)) == "OverlayDoc.Holder")
+      Holder = static_cast<TypeId>(T);
+  ASSERT_TRUE(isValidId(Holder));
+  EXPECT_EQ(lookupsToConvertible(*Overlay->TS, Overlay->Idx->Members, Holder,
+                                 true)[Overlay->TS->nullType()],
+            0);
 }
 
 TEST(WorkspaceOverlayTest, SharedBaseSurvivesConcurrentOverlayQueries) {
