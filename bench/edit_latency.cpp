@@ -51,8 +51,8 @@ namespace {
 /// benches use on purpose: the quantity under test is the cost *avoided*
 /// by sharing the frozen type-graph tables, which is O(N^2) in types,
 /// while the cost the incremental path must still pay (a brace scan of
-/// the text, parsing the edited declaration, and re-resolving every body)
-/// is O(N). At toy scales the linear part dominates
+/// the text, parsing and resolving the edited declaration, and harvesting
+/// the abstract-type constraints of every body) is O(N). At toy scales the linear part dominates
 /// both columns and the bench degenerates into a parser benchmark; at
 /// this scale the corpus is comparable to the paper's smaller subjects
 /// and the table measures what an editor actually feels.

@@ -83,10 +83,15 @@ private:
   std::vector<Stmt> Body;
 };
 
-/// A class together with its method bodies.
+/// A class together with its method bodies: one declaration's resolved
+/// code. Once its Program's build finishes the class is immutable, so a
+/// later Program over the same TypeSystem may share it by pointer
+/// (Program::adoptClass). It keeps alive the arena its expressions live
+/// in, which it shares with the other classes resolved in the same build.
 class CodeClass {
 public:
-  explicit CodeClass(TypeId Type) : Type(Type) {}
+  CodeClass(TypeId Type, std::shared_ptr<Arena> Exprs)
+      : Exprs(std::move(Exprs)), Type(Type) {}
 
   TypeId type() const { return Type; }
 
@@ -100,26 +105,40 @@ public:
   }
 
 private:
+  // First, so the expressions outlive the bodies that point at them.
+  std::shared_ptr<Arena> Exprs;
   TypeId Type;
   std::vector<std::unique_ptr<CodeMethod>> Methods;
 };
 
-/// A whole program/corpus: a TypeSystem reference, the classes with code,
-/// and the arena owning every Expr node.
+/// A whole program/corpus: a TypeSystem reference and the classes with
+/// code, in declaration order. The classes are held by shared_ptr, so
+/// successive versions of one document share the classes an edit left
+/// alone; arena() is where this Program's own build allocates.
 class Program {
 public:
-  explicit Program(TypeSystem &TS) : TS(TS) {}
+  explicit Program(TypeSystem &TS)
+      : TS(TS), ExprArena(std::make_shared<Arena>()) {}
 
   TypeSystem &typeSystem() { return TS; }
   const TypeSystem &typeSystem() const { return TS; }
-  Arena &arena() { return ExprArena; }
+  Arena &arena() { return *ExprArena; }
 
+  /// Appends a new class whose expressions go in arena().
   CodeClass &addClass(TypeId Type) {
-    Classes.push_back(std::make_unique<CodeClass>(Type));
-    return *Classes.back();
+    auto C = std::make_shared<CodeClass>(Type, ExprArena);
+    CodeClass &Ref = *C;
+    Classes.push_back(std::move(C));
+    return Ref;
   }
 
-  const std::vector<std::unique_ptr<CodeClass>> &classes() const {
+  /// Appends \p C, a finished class of another Program over this same
+  /// TypeSystem, shared rather than copied.
+  void adoptClass(std::shared_ptr<const CodeClass> C) {
+    Classes.push_back(std::move(C));
+  }
+
+  const std::vector<std::shared_ptr<const CodeClass>> &classes() const {
     return Classes;
   }
 
@@ -128,8 +147,8 @@ public:
 
 private:
   TypeSystem &TS;
-  Arena ExprArena;
-  std::vector<std::unique_ptr<CodeClass>> Classes;
+  std::shared_ptr<Arena> ExprArena;
+  std::vector<std::shared_ptr<const CodeClass>> Classes;
 };
 
 /// Identifies a statement position inside a program: the site of a query or

@@ -74,19 +74,26 @@ struct EngineState {
   Arena *Scratch = nullptr;
 
   /// The reach row toward \p Target over one edge set (index/MemberCache.h),
-  /// computed on first use and memoized for the rest of the query. The
-  /// state is per query, so the memo needs no lock; the reference stays
-  /// valid for the state's lifetime.
+  /// computed on first use and memoized for the rest of the query, as is
+  /// the reversed edge set every row over it starts from. The state is
+  /// per query, so the memos need no lock; the reference stays valid for
+  /// the state's lifetime.
   const std::vector<int8_t> &reachRow(TypeId Target, bool MethodsAllowed) {
     uint64_t Key = (static_cast<uint64_t>(Target) << 1) | MethodsAllowed;
     auto [It, Inserted] = ReachRows.try_emplace(Key);
-    if (Inserted)
-      It->second = lookupsToConvertible(*TS, *Members, Target, MethodsAllowed);
+    if (Inserted) {
+      ReverseLookupEdges &Rev = Reversed[MethodsAllowed];
+      if (Rev.Start.empty())
+        Rev = reverseLookupEdges(*Members, TS->numTypes(), MethodsAllowed);
+      It->second = lookupsToConvertible(*TS, Rev, Target);
+    }
     return It->second;
   }
 
 private:
   std::unordered_map<uint64_t, std::vector<int8_t>> ReachRows;
+  /// Per edge set (index: MethodsAllowed), built on its first row.
+  ReverseLookupEdges Reversed[2];
 };
 
 /// Builds the stream for a partial expression. \p Target, when valid,

@@ -140,15 +140,11 @@ size_t MemberCache::memoryBytes() const {
   return Bytes;
 }
 
-std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
-                                                const MemberCache &Members,
-                                                TypeId Target,
-                                                bool MethodsAllowed,
-                                                int MaxDepth) {
-  assert(MaxDepth < INT8_MAX && "lookup distance overflows int8");
-  size_t N = TS.numTypes();
+ReverseLookupEdges petal::reverseLookupEdges(const MemberCache &Members,
+                                             size_t NumTypes,
+                                             bool MethodsAllowed) {
   auto ForEachEdge = [&](auto &&Visit) {
-    for (size_t T = 0; T != N; ++T) {
+    for (size_t T = 0; T != NumTypes; ++T) {
       TypeId From = static_cast<TypeId>(T);
       const auto Edges = Members.edges(From);
       size_t Limit =
@@ -157,16 +153,23 @@ std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
         Visit(From, Edges[I].ResultType);
     }
   };
-  // The edge set reversed, in CSR form: the types with an edge into T are
-  // Preds[Start[T] .. Start[T+1]).
-  std::vector<uint32_t> Start(N + 1, 0);
-  ForEachEdge([&](TypeId, TypeId To) { ++Start[To + 1]; });
-  for (size_t T = 0; T != N; ++T)
-    Start[T + 1] += Start[T];
-  std::vector<TypeId> Preds(Start[N]);
-  std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
-  ForEachEdge([&](TypeId From, TypeId To) { Preds[Fill[To]++] = From; });
+  ReverseLookupEdges Rev;
+  Rev.Start.assign(NumTypes + 1, 0);
+  ForEachEdge([&](TypeId, TypeId To) { ++Rev.Start[To + 1]; });
+  for (size_t T = 0; T != NumTypes; ++T)
+    Rev.Start[T + 1] += Rev.Start[T];
+  Rev.Preds.resize(Rev.Start[NumTypes]);
+  std::vector<uint32_t> Fill(Rev.Start.begin(), Rev.Start.end() - 1);
+  ForEachEdge([&](TypeId From, TypeId To) { Rev.Preds[Fill[To]++] = From; });
+  return Rev;
+}
 
+std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
+                                                const ReverseLookupEdges &Rev,
+                                                TypeId Target, int MaxDepth) {
+  assert(MaxDepth < INT8_MAX && "lookup distance overflows int8");
+  size_t N = TS.numTypes();
+  assert(Rev.Start.size() == N + 1 && "reversed edges of another type set");
   // Breadth-first backwards from the convertible types; the queue holds
   // types in nondecreasing distance order.
   std::vector<int8_t> Row(N, -1);
@@ -180,11 +183,21 @@ std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
     TypeId Cur = Queue[Head];
     if (Row[Cur] == MaxDepth)
       continue;
-    for (uint32_t I = Start[Cur]; I != Start[Cur + 1]; ++I)
-      if (Row[Preds[I]] < 0) {
-        Row[Preds[I]] = static_cast<int8_t>(Row[Cur] + 1);
-        Queue.push_back(Preds[I]);
+    for (uint32_t I = Rev.Start[Cur]; I != Rev.Start[Cur + 1]; ++I)
+      if (Row[Rev.Preds[I]] < 0) {
+        Row[Rev.Preds[I]] = static_cast<int8_t>(Row[Cur] + 1);
+        Queue.push_back(Rev.Preds[I]);
       }
   }
   return Row;
+}
+
+std::vector<int8_t> petal::lookupsToConvertible(const TypeSystem &TS,
+                                                const MemberCache &Members,
+                                                TypeId Target,
+                                                bool MethodsAllowed,
+                                                int MaxDepth) {
+  return lookupsToConvertible(
+      TS, reverseLookupEdges(Members, TS.numTypes(), MethodsAllowed), Target,
+      MaxDepth);
 }

@@ -139,18 +139,37 @@ private:
   mutable std::vector<size_t> FieldCounts;
 };
 
+/// The lookup edges of one edge set, reversed, in CSR form: the types
+/// with an edge into T are Preds[Start[T] .. Start[T+1]).
+struct ReverseLookupEdges {
+  std::vector<uint32_t> Start;
+  std::vector<TypeId> Preds;
+};
+
+/// Reverses the edges of the first \p NumTypes types: all of them, or
+/// only the field edges unless \p MethodsAllowed. O(types + edges).
+ReverseLookupEdges reverseLookupEdges(const MemberCache &Members,
+                                      size_t NumTypes, bool MethodsAllowed);
+
 /// One reach row over the whole type population: entry T is the minimum
 /// number of lookups (0 = the value itself) from a value of type T to a
 /// value implicitly convertible to \p Target, or -1 when no chain of at
-/// most \p MaxDepth lookups gets there. \p MethodsAllowed selects the
-/// `.?*m` edge set (fields and zero-argument methods) over `.?*f` (fields
-/// only). The paper describes such a reachability index (§4.2) but did not
-/// implement it; the engine computes the rows it needs per query (one per
-/// expected type and edge set) instead of keeping N² tables.
+/// most \p MaxDepth lookups gets there. \p Rev is the reversed `.?*m`
+/// edge set (fields and zero-argument methods) or `.?*f` set (fields
+/// only) over every type of \p TS. The paper describes such a
+/// reachability index (§4.2) but did not implement it; the engine
+/// computes the rows it needs per query (one per expected type and edge
+/// set) from one reversal per edge set instead of keeping N² tables.
 ///
 /// A breadth-first search backwards along the edges from the convertible
-/// types: O(types + edges) per row. It reads base types through edges(),
-/// so an overlay needs no special case.
+/// types: O(types + edges) per row. The reversal reads base types through
+/// edges(), so an overlay needs no special case.
+std::vector<int8_t> lookupsToConvertible(const TypeSystem &TS,
+                                         const ReverseLookupEdges &Rev,
+                                         TypeId Target, int MaxDepth = 8);
+
+/// One row from a fresh reversal of \p Members' edges (fields and
+/// zero-argument methods if \p MethodsAllowed, else fields only).
 std::vector<int8_t> lookupsToConvertible(const TypeSystem &TS,
                                          const MemberCache &Members,
                                          TypeId Target, bool MethodsAllowed,

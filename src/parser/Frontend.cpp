@@ -33,20 +33,21 @@ bool petal::resolveParsedFile(const SynFile &File, Program &P,
 }
 
 bool petal::resolveParsedFileReusingDecls(const SynFile &File, Program &P,
-                                          DiagnosticEngine &Diags) {
+                                          DiagnosticEngine &Diags,
+                                          const PriorCode *Prior) {
   Resolver R(P, Diags);
-  return R.resolveFileReusingDecls(File);
+  return R.resolveFileReusingDecls(File, Prior);
 }
 
 const PartialExpr *petal::parseQueryText(std::string_view Query, Program &P,
-                                         const QueryScope &Scope,
+                                         Arena &Nodes, const QueryScope &Scope,
                                          DiagnosticEngine &Diags) {
   Lexer Lex(Query, Diags);
   Parser Parse(Lex.lexAll(), Diags);
   SynExprPtr Syn = Parse.parseQuery();
   if (!Syn)
     return nullptr;
-  Resolver R(P, Diags);
+  Resolver R(P, Nodes, Diags);
   return R.resolveQuery(Syn.get(), Scope);
 }
 

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Convenience wrappers tying the lexer, parser, and resolver together:
-/// load a source buffer into a Program, parse a partial-expression query at
-/// a code site, and locate code sites by name.
+/// load a source buffer into a Program, resolve a parsed file over an
+/// existing TypeSystem (sharing a previous version's resolved classes for
+/// the declarations whose trees it shares), parse a partial-expression
+/// query at a code site, and locate code sites by name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,14 +46,29 @@ bool resolveParsedFile(const SynFile &File, Program &P,
 /// that already holds declaration-identical types (lookup-only; never
 /// mutates the type system). False on any structural mismatch — the
 /// caller should fall back to resolveParsedFile on a fresh Program.
+/// \p Prior, the previous version of the file, lets every declaration
+/// whose tree it shares keep the prior Program's class by pointer, so only
+/// the declarations an edit reparsed are resolved; without it (the
+/// whole-file case) every body is.
 bool resolveParsedFileReusingDecls(const SynFile &File, Program &P,
-                                   DiagnosticEngine &Diags);
+                                   DiagnosticEngine &Diags,
+                                   const PriorCode *Prior = nullptr);
 
 /// Parses and resolves a partial-expression query (e.g. "?({img, size})")
-/// posed at \p Scope. Returns null on error.
+/// posed at \p Scope, allocating its nodes in \p Nodes, which must
+/// outlive every use of the result (and of completions built from it).
+/// Returns null on error.
 const PartialExpr *parseQueryText(std::string_view Query, Program &P,
-                                  const QueryScope &Scope,
+                                  Arena &Nodes, const QueryScope &Scope,
                                   DiagnosticEngine &Diags);
+
+/// As above, allocating in \p P's arena: the nodes live as long as \p P,
+/// so a long-lived Program should be given an arena of its own per query.
+inline const PartialExpr *parseQueryText(std::string_view Query, Program &P,
+                                         const QueryScope &Scope,
+                                         DiagnosticEngine &Diags) {
+  return parseQueryText(Query, P, P.arena(), Scope, Diags);
+}
 
 /// Finds the CodeClass for the type named \p TypeName (simple or qualified).
 const CodeClass *findCodeClass(const Program &P, const std::string &TypeName);

@@ -10,6 +10,7 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace petal;
 
@@ -27,7 +28,8 @@ bool Resolver::resolveFile(const SynFile &File) {
   return Diags.errorCount() == Before;
 }
 
-bool Resolver::resolveFileReusingDecls(const SynFile &File) {
+bool Resolver::resolveFileReusingDecls(const SynFile &File,
+                                       const PriorCode *Prior) {
   unsigned Before = Diags.errorCount();
   // Declaration phases in lookup-only mode. A false return here means the
   // existing model does not structurally match the file — the caller must
@@ -36,7 +38,7 @@ bool Resolver::resolveFileReusingDecls(const SynFile &File) {
     return false;
   if (!resolveMembersReusing(File))
     return false;
-  resolveBodies(File);
+  resolveBodies(File, Prior);
   return Diags.errorCount() == Before;
 }
 
@@ -221,12 +223,32 @@ bool Resolver::resolveMembers(const SynFile &File) {
   return true;
 }
 
-bool Resolver::resolveBodies(const SynFile &File) {
+bool Resolver::resolveBodies(const SynFile &File, const PriorCode *Prior) {
+  assert((!Prior || &Prior->P.typeSystem() == &TS) &&
+         "reused code was resolved over another TypeSystem");
+  if (Prior && Prior->File.Types.size() != File.Types.size())
+    Prior = nullptr;
+  // The prior Program's classes are in declaration order, and declaration
+  // I registered the same type in both files, so one cursor pairs them.
+  size_t PriorClass = 0;
   for (size_t I = 0; I != File.Types.size(); ++I) {
     const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     if (!isValidId(T))
       continue;
+    if (Prior) {
+      const auto &Classes = Prior->P.classes();
+      const std::shared_ptr<const CodeClass> *Same = nullptr;
+      if (PriorClass != Classes.size() && Classes[PriorClass]->type() == T)
+        Same = &Classes[PriorClass++];
+      // The same tree over the same TypeSystem resolves to the same code:
+      // the prior class if it had one, and otherwise no class at all.
+      if (Prior->File.Types[I].get() == &ST) {
+        if (Same)
+          P.adoptClass(*Same);
+        continue;
+      }
+    }
     if (ST.Kind != TypeKind::Class && ST.Kind != TypeKind::Struct)
       continue;
 
@@ -669,7 +691,7 @@ std::vector<MethodId> Resolver::methodsByName(const std::string &Name,
 
 const PartialExpr *Resolver::resolvePartial(const SynExpr *E,
                                             ExprScope &Scope) {
-  Arena &A = P.arena();
+  Arena &A = Factory.arena();
   switch (E->Kind) {
   case SynExprKind::Hole:
     return A.create<HolePE>();
@@ -735,7 +757,7 @@ const PartialExpr *Resolver::resolvePartial(const SynExpr *E,
 
 const PartialExpr *Resolver::resolvePartialCall(const SynExpr *E,
                                                 ExprScope &Scope) {
-  Arena &A = P.arena();
+  Arena &A = Factory.arena();
 
   // Resolve the arguments as partials.
   std::vector<const PartialExpr *> Args;

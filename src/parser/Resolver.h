@@ -39,11 +39,25 @@ struct QueryScope {
   size_t StmtIndex = static_cast<size_t>(-1);
 };
 
+/// A previous version of a document, offered to an incremental resolve:
+/// the syntax trees it was parsed into and the Program resolved from them
+/// over the resolving Program's own TypeSystem.
+struct PriorCode {
+  const SynFile &File;
+  const Program &P;
+};
+
 /// Lowers syntax to the semantic model.
 class Resolver {
 public:
   Resolver(Program &P, DiagnosticEngine &Diags)
-      : P(P), TS(P.typeSystem()), Factory(P.typeSystem(), P.arena()),
+      : Resolver(P, P.arena(), Diags) {}
+
+  /// As above, but every expression and partial-expression node goes in
+  /// \p Nodes rather than \p P's arena: a query parsed this way leaves
+  /// \p P untouched.
+  Resolver(Program &P, Arena &Nodes, DiagnosticEngine &Diags)
+      : P(P), TS(P.typeSystem()), Factory(P.typeSystem(), Nodes),
         Diags(Diags) {}
 
   /// Runs all four phases over \p File. Returns false if any error was
@@ -59,7 +73,14 @@ public:
   /// never mutated, so a frozen, concurrently shared instance is safe to
   /// pass. Any pairing mismatch returns false *before* body resolution —
   /// the caller then falls back to a full build on a fresh TypeSystem.
-  bool resolveFileReusingDecls(const SynFile &File);
+  ///
+  /// With \p Prior, a declaration whose tree is the same pointer as the
+  /// prior file's at the same position resolves to exactly the prior
+  /// Program's class for it, so that class is adopted by pointer; only
+  /// the other declarations' bodies are resolved. \p Prior's Program must
+  /// be over this Program's TypeSystem. Without it every body is resolved.
+  bool resolveFileReusingDecls(const SynFile &File,
+                               const PriorCode *Prior = nullptr);
 
   /// Resolves a parsed query against \p Scope. Returns null on error.
   const PartialExpr *resolveQuery(const SynExpr *Q, const QueryScope &Scope);
@@ -94,7 +115,7 @@ private:
   bool registerTypes(const SynFile &File);
   bool resolveBases(const SynFile &File);
   bool resolveMembers(const SynFile &File);
-  bool resolveBodies(const SynFile &File);
+  bool resolveBodies(const SynFile &File, const PriorCode *Prior = nullptr);
 
   // Lookup-only twins of the declaration phases (resolveFileReusingDecls):
   // they fill RegisteredTypes / MemberMethodIds from the existing model

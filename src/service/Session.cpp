@@ -35,11 +35,13 @@ size_t DocumentState::memoryBytes() const {
 }
 
 /// Tries the incremental path: share \p Prev's TypeSystem and frozen
-/// type-graph tables, re-resolve only the code layer of \p File into a new
-/// Program. Returns false (leaving \p Doc's engine layers unset) when the
-/// existing declarations don't pair up with the file — the caller then
-/// runs the full build. Body-resolution *errors* also return false; the
-/// full build reproduces and reports them.
+/// type-graph tables, and build a new Program that shares \p Prev's
+/// resolved class for every declaration whose tree \p File shares, so
+/// only the declarations the edit reparsed are resolved. Returns false
+/// (leaving \p Doc's engine layers unset) when the existing declarations
+/// don't pair up with the file — the caller then runs the full build.
+/// Body-resolution *errors* also return false; the full build reproduces
+/// and reports them.
 static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
                                 const DocumentState &Prev,
                                 size_t DocThreads) {
@@ -53,7 +55,8 @@ static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
   auto P = std::make_shared<Program>(*Prev.TS);
   [[maybe_unused]] TypeSystem::Fingerprint Before = Prev.TS->fingerprint();
   DiagnosticEngine Diags;
-  if (!resolveParsedFileReusingDecls(File, *P, Diags))
+  PriorCode Prior{Prev.Parsed.File, *Prev.P};
+  if (!resolveParsedFileReusingDecls(File, *P, Diags, &Prior))
     return false;
   assert(Prev.TS->fingerprint() == Before &&
          "reuse resolution mutated the shared TypeSystem");
@@ -361,8 +364,12 @@ QueryOutcome petal::runCompletion(DocumentState &Doc,
 
   QueryScope Scope = scopeAtEnd(Class, Method);
   DiagnosticEngine Diags;
+  // The query's nodes live until its answer is printed below, and no
+  // longer: in the document's arena they would pile up for as long as
+  // this version serves queries.
+  Arena QueryNodes;
   const PartialExpr *Query =
-      parseQueryText(Spec.Query, *Doc.P, Scope, Diags);
+      parseQueryText(Spec.Query, *Doc.P, QueryNodes, Scope, Diags);
   if (!Query) {
     std::ostringstream OS;
     Diags.print(OS);

@@ -33,9 +33,11 @@
 ///    never re-processed, and every open session reads the same base.
 ///  * **Incremental** (DESIGN.md §12): an edit whose type-graph
 ///    fingerprint matches the previous version shares that version's
-///    TypeSystem and frozen type-graph tables and re-resolves only the
-///    code layer. Composes with overlays — the shared layers may
-///    themselves be overlay layers.
+///    TypeSystem and frozen type-graph tables, and builds a new code
+///    layer that shares, by pointer, the previous version's resolved
+///    class of every declaration whose tree the parse reused: only the
+///    declarations the edit reparsed are resolved. Composes with
+///    overlays — the shared layers may themselves be overlay layers.
 ///  * **Full**: everything from source, used for opens without a base and
 ///    as the fallback when reuse pairing fails.
 ///
@@ -94,8 +96,9 @@ struct DocumentState {
   // TypeSystem, the indexes to the Program, the executor to both. Each
   // layer is a shared_ptr so an incremental successor can alias the
   // immutable upper layers (the TypeSystem and the frozen type-graph
-  // tables) while owning its own code layer; whichever version dies last
-  // frees them, and member order still guarantees the TypeSystem outlives
+  // tables) while owning its own code layer, whose unchanged classes it
+  // shares with this version in turn; whichever version dies last frees
+  // them, and member order still guarantees the TypeSystem outlives
   // everything that references it.
   std::shared_ptr<TypeSystem> TS;
   std::shared_ptr<Program> P;
@@ -139,9 +142,10 @@ struct DocumentState {
 /// \p Prev, when non-null, is the session's previous version. If the new
 /// text's type-graph fingerprint matches \p Prev's, the build goes
 /// incremental: it shares Prev's TypeSystem and frozen index tables and
-/// re-resolves only the method bodies (falling back to a full build if
-/// declaration pairing fails); a token-identical text additionally adopts
-/// Prev's abstract-type solution. Incremental and full builds of the same
+/// Prev's resolved class of every declaration whose tree the parse
+/// reused, and resolves only the method bodies of the rest (falling back
+/// to a full build if declaration pairing fails); a token-identical text
+/// additionally adopts Prev's abstract-type solution. Incremental and full builds of the same
 /// text produce bit-identical completions — enforced by
 /// session_incremental_test's fresh-twin property test.
 ///
@@ -208,6 +212,8 @@ struct QueryOutcome {
 
 /// Runs \p Spec against \p Doc through its BatchExecutor. The caller must
 /// hold the session strand (no concurrent call on the same DocumentState).
+/// The query is parsed into an arena that dies with the call, so \p Doc's
+/// Program does not grow however many queries it serves.
 QueryOutcome runCompletion(DocumentState &Doc, const CompleteSpec &Spec);
 
 } // namespace petal

@@ -16,12 +16,16 @@
 //    unbalanced `{`, `"` and `/*`) are built on top of the previous
 //    version and from scratch. Both builds must agree on success, on the
 //    exact error text, on the DocumentShape (which must also equal a
-//    whole-file parse's), and on every completion of a query battery.
-//    A failure names its seed; PETAL_SPAN_SEED=<seed> replays just that
-//    one.
+//    whole-file parse's), on every completion of a query battery, on the
+//    class order and on the abstract-type solution. An incremental build
+//    must also share, by pointer, the previous version's resolved class
+//    of every declaration whose tree it shares, and resolve only the
+//    rest. A failure names its seed; PETAL_SPAN_SEED=<seed> replays just
+//    that one.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CodeReuse.h"
 #include "TestCorpora.h"
 
 #include "corpus/Generator.h"
@@ -492,10 +496,22 @@ void runSeed(uint64_t Seed) {
     DiagnosticEngine Diags;
     ASSERT_TRUE(parseSourceFile(Text, Whole, Diags));
     expectSameShape(Inc->Parsed.Shape, shapeOfFile(Whole));
-    if (M == Mut::BodyEdit || M == Mut::CommentEdit ||
-        M == Mut::StringWithBraces) {
+    bool BodyOnly = M == Mut::BodyEdit || M == Mut::CommentEdit ||
+                    M == Mut::StringWithBraces;
+    if (BodyOnly) {
       EXPECT_EQ(Inc->Parsed.Reparsed, 1u);
+      EXPECT_TRUE(Inc->incremental());
     }
+    // The resolved code of every declaration the edit left alone is the
+    // previous version's, by pointer; only the reparsed one is resolved.
+    if (Inc->incremental()) {
+      size_t Resolved = expectCodeReuse(*Inc, *Cur);
+      if (BodyOnly) {
+        EXPECT_EQ(Resolved, 1u);
+      }
+    }
+    EXPECT_EQ(classOrder(*Inc), classOrder(*Fresh));
+    EXPECT_EQ(solutionParents(*Inc), solutionParents(*Fresh));
     for (const CompleteSpec &Q : Battery) {
       SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
       QueryOutcome A = runCompletion(*Inc, Q);

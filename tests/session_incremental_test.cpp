@@ -10,12 +10,19 @@
 // previous version must produce completions *bit-identical* to a
 // DocumentState built from scratch over the same text — and must be
 // classified correctly (shared layers are recorded exactly, never
-// optimistically). The concurrency case — many incremental states aliasing
-// one version's frozen index tables, queried from 8 threads — runs under
-// ThreadSanitizer in scripts/ci.sh.
+// optimistically). An incremental state must also share its predecessor's
+// resolved class, by pointer, for every declaration the edit left alone,
+// and solve to the same abstract-type partition as the fresh build. The
+// concurrency cases — many incremental states aliasing one version's
+// frozen index tables, queried from 8 threads, and a version queried while
+// its successor is built from it — run under ThreadSanitizer in
+// scripts/ci.sh; the lifetime case — a long chain of edits, each
+// predecessor destroyed before its successor is queried — under
+// AddressSanitizer.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CodeReuse.h"
 #include "TestCorpora.h"
 
 #include "service/Session.h"
@@ -178,6 +185,12 @@ TEST(SessionIncrementalTest, EveryEditShapeMatchesAFreshBuildBitForBit) {
     }
     EXPECT_EQ(Inc->sharedSolution(),
               Inc->Exec->sharedSolution() == Base->Exec->sharedSolution());
+    if (Inc->incremental()) {
+      // Each of these edits touches one declaration with code.
+      EXPECT_EQ(expectCodeReuse(*Inc, *Base), 1u);
+    }
+    EXPECT_EQ(classOrder(*Inc), classOrder(*Fresh));
+    EXPECT_EQ(solutionParents(*Inc), solutionParents(*Fresh));
 
     for (const CompleteSpec &Q : queryBattery()) {
       SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
@@ -219,8 +232,15 @@ TEST(SessionIncrementalTest, ChainedEditsStayBitIdentical) {
   // it did not.
   EXPECT_EQ(D3->Exec->sharedSolution(), D2->Exec->sharedSolution());
   EXPECT_NE(D4->Exec->sharedSolution(), D3->Exec->sharedSolution());
+  // Each body edit resolved the one class it touched and shared the rest;
+  // the trailing-whitespace link resolved nothing.
+  EXPECT_EQ(expectCodeReuse(*D2, *D1), 1u);
+  EXPECT_EQ(expectCodeReuse(*D3, *D2), 0u);
+  EXPECT_EQ(expectCodeReuse(*D4, *D3), 1u);
 
   std::unique_ptr<DocumentState> F4 = build(V4, 4, nullptr);
+  EXPECT_EQ(classOrder(*D4), classOrder(*F4));
+  EXPECT_EQ(solutionParents(*D4), solutionParents(*F4));
   for (const CompleteSpec &Q : queryBattery()) {
     SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
     QueryOutcome A = runCompletion(*D4, Q);
@@ -270,6 +290,90 @@ TEST(SessionIncrementalTest, SharedFrozenTablesSurviveConcurrentQueries) {
     });
   for (std::thread &T : Threads)
     T.join();
+}
+
+/// The I-th edit of a chain over baseText(): a statement added to one of
+/// the two classes with code, in turn, or every third step a
+/// whitespace-only change. \p Text is the previous version's text.
+std::string chainEdit(const std::string &Text, int I) {
+  if (I % 3 == 2)
+    return Text + "\n";
+  std::string Stmt = "var t" + std::to_string(I) + " = point;\n    ";
+  return I % 3 == 0 ? replaceLast(Text, "return;", Stmt + "return;")
+                    : replaceFirst(Text, "return;", Stmt + "return;");
+}
+
+TEST(SessionIncrementalTest, PredecessorsDieBeforeSuccessorsAreQueried) {
+  // Shared classes keep their expressions' arena alive, whichever version
+  // resolved them. Each version here is destroyed as soon as its
+  // successor is built, so the surviving classes outlive the Program (and
+  // the version) that made them; AddressSanitizer checks every query.
+  std::string Text = baseText();
+  std::unique_ptr<DocumentState> Cur = build(Text, 1, nullptr);
+  ASSERT_NE(Cur, nullptr);
+  const std::vector<CompleteSpec> Qs = queryBattery();
+  for (int I = 0; I != 50; ++I) {
+    SCOPED_TRACE("edit " + std::to_string(I));
+    Text = chainEdit(Text, I);
+    std::unique_ptr<DocumentState> Next = build(Text, I + 2, Cur.get());
+    ASSERT_NE(Next, nullptr);
+    ASSERT_TRUE(Next->incremental());
+    expectCodeReuse(*Next, *Cur);
+    Cur = std::move(Next);
+    for (const CompleteSpec &Q : Qs)
+      ASSERT_TRUE(runCompletion(*Cur, Q).Ok);
+  }
+  std::unique_ptr<DocumentState> Fresh = build(Text, 52, nullptr);
+  ASSERT_NE(Fresh, nullptr);
+  EXPECT_EQ(solutionParents(*Cur), solutionParents(*Fresh));
+  for (const CompleteSpec &Q : Qs) {
+    SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
+    EXPECT_EQ(runCompletion(*Cur, Q).Completions.write(),
+              runCompletion(*Fresh, Q).Completions.write());
+  }
+}
+
+TEST(SessionIncrementalTest, QueriesRaceTheSuccessorBuild) {
+  // The service queries version N on one worker while N+1 is built from it
+  // on another: the build reads N's syntax trees and shares N's classes.
+  // Ten links; ThreadSanitizer must see no race.
+  std::string Text = baseText();
+  std::unique_ptr<DocumentState> Cur = build(Text, 1, nullptr);
+  ASSERT_NE(Cur, nullptr);
+  const std::vector<CompleteSpec> Qs = queryBattery();
+  for (int I = 0; I != 10; ++I) {
+    SCOPED_TRACE("edit " + std::to_string(I));
+    std::vector<std::string> Answers;
+    std::thread Querier([&] {
+      for (const CompleteSpec &Q : Qs)
+        Answers.push_back(runCompletion(*Cur, Q).Completions.write());
+    });
+    Text = chainEdit(Text, I);
+    std::unique_ptr<DocumentState> Next = build(Text, I + 2, Cur.get());
+    Querier.join();
+    ASSERT_NE(Next, nullptr);
+    ASSERT_TRUE(Next->incremental());
+    for (size_t Q = 0; Q != Qs.size(); ++Q)
+      EXPECT_EQ(Answers[Q], runCompletion(*Cur, Qs[Q]).Completions.write());
+    Cur = std::move(Next);
+  }
+}
+
+TEST(SessionIncrementalTest, QueriesLeaveTheProgramArenaUnchanged) {
+  // A query's nodes live in an arena of its own, freed once the answer is
+  // printed, so a version that serves queries without edits does not grow.
+  std::unique_ptr<DocumentState> Doc = build(baseText(), 1, nullptr);
+  ASSERT_NE(Doc, nullptr);
+  size_t Bytes = Doc->P->arena().bytesReserved();
+  size_t Objects = Doc->P->arena().numManagedObjects();
+  std::vector<CompleteSpec> Qs = {
+      spec("EllipseArc", "Examine", "point.?f"),
+      spec("EllipseArc", "Examine", "Distance(point, this.Center)"),
+      spec("Scratch", "Play", "?({point, 2})")};
+  for (int I = 0; I != 10000; ++I)
+    ASSERT_TRUE(runCompletion(*Doc, Qs[I % Qs.size()]).Ok);
+  EXPECT_EQ(Doc->P->arena().bytesReserved(), Bytes);
+  EXPECT_EQ(Doc->P->arena().numManagedObjects(), Objects);
 }
 
 } // namespace
