@@ -26,7 +26,9 @@
 #      under in-flight requests, cached payloads outliving their sessions,
 #      mapped tables outliving their mapping, overlays outliving or
 #      outlived by their base corpus), the per-query reach rows (which
-#      index a row by every candidate's type id), and a
+#      index a row by every candidate's type id), the engine suites
+#      (arena-backed stream buckets and pending heaps, query arenas handed
+#      off with batched results, explain cards), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -85,12 +87,12 @@ ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'ThreadPool|BatchExecutor|EvaluatorParallel|IndexStress|Service|Framing|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
 
 echo
-echo "== [3/5] AddressSanitizer build + service/robustness tests"
+echo "== [3/5] AddressSanitizer build + service/robustness/engine tests"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Reach|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Reach|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|EngineTest|ExplainEngine|BruteForce|GeneratedOracle|ScoreCeiling|WorkedExample|GoldenCompletions'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"
