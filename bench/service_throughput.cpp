@@ -259,7 +259,6 @@ struct Round {
 Round runRound(const Fixture &F, size_t Clients) {
   PetalService::Options Opts;
   Opts.Workers = 4;
-  Opts.DocThreads = 1;
   Opts.CacheCapacity = 4096;
   InProcessClient C(Opts);
 

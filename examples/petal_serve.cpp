@@ -134,11 +134,6 @@ int main(int argc, char **argv) {
                 [&](const std::string &V) {
                   return parseCount(V, "workers", Opts.Workers);
                 });
-  Flags.addFlag("doc-threads", "N",
-                "BatchExecutor threads per document (default 1, 0 = auto)",
-                [&](const std::string &V) {
-                  return parseCount(V, "doc-threads", Opts.DocThreads);
-                });
   Flags.addFlag("cache", "N", "result cache entries (default 1024, 0 = off)",
                 [&](const std::string &V) {
                   return parseCount(V, "cache", Opts.CacheCapacity);

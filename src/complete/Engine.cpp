@@ -180,6 +180,8 @@ CompletionEngine::complete(const PartialExpr *Query, const CodeSite &Site,
     if (Results.size() >= N)
       break;
   }
+  Stats.CombosEnumerated = ES.CombosEnumerated;
+  Stats.PendingPushed = ES.PendingPushed;
   // The ceiling "hit" stat means it was the binding constraint: the caller
   // asked for deeper exploration than the ceiling allows and still came up
   // short. Running out at the caller's own MaxScore is normal operation.

@@ -225,6 +225,12 @@ public:
     /// cancelled, or watchdog fired). The returned results are incomplete
     /// and must not be cached or served.
     bool Abandoned = false;
+    /// Engine work counters (EngineState): combinations of child
+    /// candidates the composite streams visited, and completions they
+    /// pushed to their pending heaps. Deterministic per (corpus, query,
+    /// options), like the results.
+    uint64_t CombosEnumerated = 0;
+    uint64_t PendingPushed = 0;
   };
 
   /// Completes \p Query at \p Site, returning at most \p N results in

@@ -14,10 +14,17 @@
 ///   VarsStream         locals, parameters, `this`, and globals (the `vars`
 ///                      of §4.2's interpretation of `?` as `vars.?*m`)
 ///   SuffixStream       `.?f` / `.?*f` / `.?m` / `.?*m` frontier expansion
+///   ComboStream        the composite step: one candidate per child stream,
+///                      scores summing to the bucket, out-of-order results
+///                      buffered (base of the next three)
 ///   UnknownCallStream  `?({...})` over the method index
-///   KnownCallStream    `name(...)` over a resolved overload set
+///   KnownCallStream    `name(...)` for one method of an overload set
 ///   BinaryStream       `ee := ee` and `ee < ee` pairing
-///   MergeStream        union of streams
+///   MergeStream        union of streams (an overload set's calls)
+///
+/// Every composite scores its completions with Ranker::scoreExpr, the one
+/// scorer, so the engine's scores are the Fig. 7 specification's by
+/// construction (DESIGN.md §7).
 ///
 /// These are internal to the engine but exposed for white-box testing.
 ///
@@ -33,6 +40,7 @@
 #include "index/MethodIndex.h"
 #include "partial/PartialExpr.h"
 #include "rank/Ranking.h"
+#include "support/Span.h"
 
 #include <cstdint>
 #include <memory>
@@ -72,6 +80,11 @@ struct EngineState {
   /// caller with the completions, while scratch dies with the query, so
   /// batched results do not retain dead enumeration storage. Null = heap.
   Arena *Scratch = nullptr;
+
+  /// Work counters, summed over every composite stream of the query and
+  /// reported in CompletionEngine::QueryStats.
+  uint64_t CombosEnumerated = 0; ///< combinations handed to emit()
+  uint64_t PendingPushed = 0;    ///< completions pushed to pending heaps
 
   /// The reach row toward \p Target over one edge set (index/MemberCache.h),
   /// computed on first use and memoized for the rest of the query, as is
@@ -166,10 +179,10 @@ private:
   std::vector<CandidateVec> Pool;
 };
 
-/// Shared helper for composite call/binary streams: a min-heap of
-/// completions discovered early (the "out of score order" buffer). The
-/// heap's backing vector allocates from the query scratch arena when one
-/// is supplied (default-constructed heaps use the global allocator).
+/// ComboStream's buffer of completions discovered early (the "out of score
+/// order" buffer): a min-heap by (score, tie). The heap's backing vector
+/// allocates from the query scratch arena when one is supplied
+/// (default-constructed heaps use the global allocator).
 class PendingHeap {
 public:
   PendingHeap() = default;
@@ -204,57 +217,101 @@ private:
   std::priority_queue<Entry, EntryVec, std::greater<Entry>> Heap;
 };
 
+/// The composite step of Algorithm 1, shared by every stream with child
+/// streams: unknown calls, known calls, comparisons and assignments.
+///
+/// Bucket S of a composite is filled by visiting every combination (one
+/// candidate per child) whose child scores sum to each not-yet-visited
+/// Sum <= S, and handing it to emit(). The visiting order is fixed: child
+/// 0's buckets ascending, the candidates of a bucket in bucket order, each
+/// later child likewise over what is left, and the last child taking the
+/// remainder. emit() rejects type-incorrect combinations, builds the
+/// completion, scores it with Ranker::scoreExpr and push()es it. A
+/// completion scores at least its children's sum (PendingHeap::drain
+/// asserts it), so it may belong to a bucket above S; the pending heap
+/// buffers it until that bucket is filled ("compute completions not in
+/// score order", PAPER.md §1).
+class ComboStream : public CandidateStream {
+protected:
+  ComboStream(EngineState &ES,
+              std::vector<std::unique_ptr<CandidateStream>> Children);
+
+  /// Builds and push()es the completions of one combination, or rejects
+  /// it. \p Combo holds one candidate per child, in child order.
+  virtual void emit(Span<const Candidate> Combo) = 0;
+
+  /// Buffers \p C until bucket C.Score is filled. Within a bucket,
+  /// completions come out in ascending \p Tie.
+  void push(const Candidate &C, uint64_t Tie);
+
+  /// This stream's push counter: the default tie, discovery order.
+  uint64_t nextSeq() { return Seq++; }
+
+  EngineState &ES;
+
+private:
+  void fillBucket(int S, CandidateVec &Out) final;
+  /// Visits every combination of children I.. whose scores sum to
+  /// \p Remaining, with Combo[0, I) already chosen.
+  void enumerate(size_t I, int Remaining);
+
+  std::vector<std::unique_ptr<CandidateStream>> Children;
+  std::vector<Candidate> Combo; ///< the combination being visited
+  PendingHeap Pending;
+  int CombosDone = -1; ///< all combinations with sum <= this were visited
+  uint64_t Seq = 0;
+};
+
 /// `?({e1, ..., en})`: unknown-method calls over the method index. For each
-/// new combination of argument candidates, the index bucket of the
+/// combination of argument candidates, the index bucket of the
 /// most-selective argument type is scanned, arguments are placed injectively
-/// into call-signature positions (best-scoring placement per method), and
-/// unfilled positions become `0`.
-class UnknownCallStream : public CandidateStream {
+/// into call-signature positions (the cheapest placement per method, by
+/// type distance and abstract-type match), and unfilled positions become
+/// `0`. Ties break towards fewer parameters, then by method declaration
+/// order.
+class UnknownCallStream : public ComboStream {
 public:
   UnknownCallStream(EngineState &ES,
                     std::vector<std::unique_ptr<CandidateStream>> Args,
                     TypeId Target);
 
 private:
-  void fillBucket(int S, CandidateVec &Out) override;
-  void processCombosWithSum(int Sum);
-  void enumerateMethods(const std::vector<Candidate> &Combo, int ArgScore);
-  void tryMethod(MethodId M, const std::vector<Candidate> &Combo,
-                 int ArgScore);
+  void emit(Span<const Candidate> Combo) override;
+  void tryMethod(MethodId M, Span<const Candidate> Combo);
+  /// Branch-and-bound over the placements of arguments I.. of \p Combo
+  /// into the free positions of M's NP call positions, at cost \p Cost so
+  /// far; records a strictly cheaper complete placement in BestPos.
+  void searchPlacement(MethodId M, size_t NP, Span<const Candidate> Combo,
+                       size_t I, int Cost);
 
-  EngineState &ES;
-  std::vector<std::unique_ptr<CandidateStream>> Args;
   TypeId Target;
-  PendingHeap Pending;
-  int CombosDone = -1; ///< all combos with sum <= this were processed
-  uint64_t Seq = 0;
+  /// Placement search state (tryMethod resets it per method).
+  std::vector<int> PosOfArg, BestPos;
+  int BestCost = -1; ///< -1: no complete placement found yet
+  uint64_t UsedMask = 0;
 };
 
-/// `name(e1, ..., en)` for one resolved method: positional matching of the
-/// call-signature arguments.
-class KnownCallStream : public CandidateStream {
+/// `name(e1, ..., en)` for one resolved method: argument i fills call
+/// position i. A combination is kept when every typed argument converts to
+/// its parameter type (don't-cares fit anywhere).
+class KnownCallStream : public ComboStream {
 public:
   KnownCallStream(EngineState &ES, MethodId M,
                   std::vector<std::unique_ptr<CandidateStream>> Args,
                   TypeId Target);
 
 private:
-  void fillBucket(int S, CandidateVec &Out) override;
-  void processCombosWithSum(int Sum);
-  void emitCombo(const std::vector<Candidate> &Combo, int ArgScore);
+  void emit(Span<const Candidate> Combo) override;
 
-  EngineState &ES;
   MethodId M;
-  std::vector<std::unique_ptr<CandidateStream>> Args;
   TypeId Target;
-  PendingHeap Pending;
-  int CombosDone = -1;
-  uint64_t Seq = 0;
 };
 
-/// `ee := ee` / `ee < ee`: pairs left and right candidates, grouped by
-/// type so compatibility is checked once per type pair.
-class BinaryStream : public CandidateStream {
+/// `ee := ee` / `ee < ee`: a two-child combination stream over the left and
+/// right operands. Every pair is checked on its own: a comparison needs
+/// comparable operand types, an assignment an l-value target and an
+/// assignable source.
+class BinaryStream : public ComboStream {
 public:
   /// \p IsCompare selects comparison semantics; otherwise assignment.
   BinaryStream(EngineState &ES, bool IsCompare, CompareOp Op,
@@ -262,18 +319,11 @@ public:
                std::unique_ptr<CandidateStream> Rhs, TypeId Target);
 
 private:
-  void fillBucket(int S, CandidateVec &Out) override;
-  void crossJoin(const CandidateVec &L, const CandidateVec &R);
-  void emitPair(const Candidate &L, const Candidate &R);
+  void emit(Span<const Candidate> Pair) override;
 
-  EngineState &ES;
   bool IsCompare;
   CompareOp Op;
-  std::unique_ptr<CandidateStream> Lhs, Rhs;
   TypeId Target;
-  PendingHeap Pending;
-  int DiagDone = -1;
-  uint64_t Seq = 0;
 };
 
 /// Union of several streams (used for overload sets of known calls).

@@ -722,7 +722,7 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
   std::unique_ptr<DocumentState> Built;
   bool Threw = false;
   try {
-    Built = buildDocumentState(S.Name, Text, Version, Opts.DocThreads,
+    Built = buildDocumentState(S.Name, Text, Version, /*DocThreads=*/1,
                                Error, Prev, Opts.Base, Sig);
   } catch (const InjectedFault &E) {
     // BuildThrow's recovery path: surviving with the session in a defined
@@ -1133,7 +1133,6 @@ json::Value PetalService::statsJson() {
   Value R = Value::object();
   R.set("service", "petald");
   R.set("workers", Opts.Workers);
-  R.set("docThreads", Opts.DocThreads);
   R.set("sessions", NumSessions);
   R.set("maxSessions", Opts.MaxSessions);
   R.set("evictions", Evictions);

@@ -105,8 +105,6 @@ public:
   struct Options {
     /// Service worker threads executing session tasks (builds + queries).
     size_t Workers = 2;
-    /// BatchExecutor threads per document (1 = serial per-query).
-    size_t DocThreads = 1;
     /// Result cache capacity in entries; 0 disables caching.
     size_t CacheCapacity = 1024;
     /// Enables $/test/block and $/test/release, the deterministic

@@ -137,7 +137,6 @@ PetalService::Options testOptions(size_t Workers = 2,
                                   bool TestHooks = false) {
   PetalService::Options O;
   O.Workers = Workers;
-  O.DocThreads = 1;
   O.CacheCapacity = 64;
   O.EnableTestHooks = TestHooks;
   return O;

@@ -223,6 +223,38 @@ TEST_F(BatchExecutorTest, ResultsOutliveLaterBatches) {
   EXPECT_EQ(render(First.Results[0]), Before);
 }
 
+TEST_F(BatchExecutorTest, WorkCountersRepeatAcrossRunsAndThreadCounts) {
+  const char *Texts[] = {"?",          "Distance(point, ?)",
+                         "point.?*m >= this.?*m", "?({point})",
+                         "?({point, this})", "this.?f = point.?f"};
+  std::vector<BatchExecutor::Request> Requests;
+  for (size_t C = 0; C != 4; ++C)
+    for (const char *T : Texts)
+      Requests.push_back({query(T), Site, 10, {}, nullptr});
+
+  using Counters = std::vector<std::pair<uint64_t, uint64_t>>;
+  auto Run = [&](size_t Threads) {
+    BatchExecutor Exec(*P, *Idx, Threads);
+    Counters Out;
+    for (const CompletionEngine::QueryStats &S :
+         Exec.completeBatch(Requests).Stats)
+      Out.push_back({S.CombosEnumerated, S.PendingPushed});
+    return Out;
+  };
+  Counters Serial = Run(1);
+  EXPECT_EQ(Run(1), Serial);
+  EXPECT_EQ(Run(4), Serial);
+
+  // Each copy of a query does the same work. Every composite query
+  // enumerates and pushes something; the plain hole has no composite.
+  for (size_t R = 0; R != Serial.size(); ++R) {
+    size_t T = R % std::size(Texts);
+    EXPECT_EQ(Serial[R], Serial[T]) << Texts[T];
+    EXPECT_EQ(Serial[R].first != 0, T != 0) << Texts[T];
+    EXPECT_EQ(Serial[R].second != 0, T != 0) << Texts[T];
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Parallel experiment drivers
 //===----------------------------------------------------------------------===//

@@ -311,7 +311,6 @@ TEST(WorkspaceOverlayTest, ServiceServesOverlaySessionsAgainstOneBase) {
   // concatenated sources.
   PetalService::Options Opts;
   Opts.Workers = 2;
-  Opts.DocThreads = 1;
   Opts.CacheCapacity = 64;
   Opts.Base = buildBase();
   ASSERT_NE(Opts.Base, nullptr);
