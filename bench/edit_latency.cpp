@@ -50,9 +50,10 @@ namespace {
 /// Default corpus scale for this bench. Larger than the 0.5 the other
 /// benches use on purpose: the quantity under test is the cost *avoided*
 /// by sharing the frozen type-graph tables, which is O(N^2) in types,
-/// while the cost the incremental path must still pay (a brace scan of
-/// the text, parsing and resolving the edited declaration, and harvesting
-/// the abstract-type constraints of every body) is O(N). At toy scales the linear part dominates
+/// while the cost the incremental path must still pay (aligning the text
+/// with the previous version's, parsing, resolving and harvesting the
+/// edited declaration, replaying the other classes' abstract-type
+/// records, and solving) is O(N). At toy scales the linear part dominates
 /// both columns and the bench degenerates into a parser benchmark; at
 /// this scale the corpus is comparable to the paper's smaller subjects
 /// and the table measures what an editor actually feels.

@@ -28,7 +28,9 @@
 #      outlived by their base corpus), the per-query reach rows (which
 #      index a row by every candidate's type id), the engine suites
 #      (arena-backed stream buckets and pending heaps, query arenas handed
-#      off with batched results, explain cards), and a
+#      off with batched results, explain cards), the abstract-type
+#      inference (per-class harvest records shared across versions and
+#      outliving the version that made them), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -92,7 +94,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Reach|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|EngineTest|ExplainEngine|BruteForce|GeneratedOracle|ScoreCeiling|WorkedExample|GoldenCompletions'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|DeclSpans|SpanReuse|SessionIncremental|Snapshot|WorkspaceOverlay|Reach|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|EngineTest|ExplainEngine|BruteForce|GeneratedOracle|ScoreCeiling|WorkedExample|GoldenCompletions|InferTest'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"

@@ -38,8 +38,8 @@ CompletionIndexes::CompletionIndexes(Program &P, const CompletionIndexes &Prev)
                          P,
                          std::shared_ptr<const AbstractTypeInference>(
                              Prev.Base->Idx->InferPtr),
-                         Prev.Base->Solution)
-                   : std::make_shared<AbstractTypeInference>(P)),
+                         Prev.Base->Solution, &Prev.Infer)
+                   : std::make_shared<AbstractTypeInference>(P, &Prev.Infer)),
       Methods(*MethodsPtr), Members(*MembersPtr), Infer(*InferPtr),
       TS(P.typeSystem()), Base(Prev.Base),
       SharedTypeGraph(true) {

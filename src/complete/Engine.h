@@ -72,7 +72,8 @@ struct FreezeOptions {
 /// the type graph untouched the sharing constructor aliases the previous
 /// version's *frozen* tables — immutable, hence race-free across the old
 /// and new document — while Infer, which reads every method body, is
-/// rebuilt against the new Program.
+/// rebuilt against the new Program, harvesting only the classes the new
+/// Program did not share.
 ///
 /// In overlay mode (base/overlay workspace, DESIGN.md §14) the three index
 /// objects hold only the document's entities and answer base-entity
@@ -95,7 +96,9 @@ struct CompletionIndexes {
   CompletionIndexes(Program &P, std::shared_ptr<const BaseCorpus> BaseIn);
 
   /// Sharing constructor: adopts \p Prev's frozen type-graph tables and
-  /// builds a fresh abstract-type inference over \p P. Requires \p Prev to
+  /// builds the abstract-type inference over \p P from \p Prev's: it
+  /// shares the declared variables and the harvest of every class \p P
+  /// shares with \p Prev's program, and harvests the rest. Requires \p Prev to
   /// be frozen (sharing lazily-filling caches across documents would race)
   /// and \p P to use the same TypeSystem instance \p Prev was built over —
   /// the caller (the incremental session build) guarantees both. When

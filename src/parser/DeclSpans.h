@@ -12,15 +12,26 @@
 /// splitDeclSpans() finds the declarations by one brace scan over the raw
 /// text. It skips comments and string literals exactly as the Lexer does
 /// and descends through `namespace X {` headers, and it records each
-/// declaration's byte range, enclosing namespace and start position.
+/// declaration's byte range, enclosing namespaces and start position.
 /// Any text it cannot account for is refused: an unbalanced brace, an
-/// unterminated comment or string, or stray text between declarations.
+/// unterminated comment or string, stray text between declarations, or a
+/// namespace more than 63 segments deep.
+///
+/// Given the previous version of the text and its split, the scan is
+/// windowed: the two texts are aligned by their common byte prefix and
+/// suffix, the previous spans that end inside the prefix are kept, and the
+/// scan resumes after the last of them. It stops as soon as it reaches the
+/// start of a previous span inside the suffix with the same namespaces
+/// open, because from there on the scan can only repeat the previous one:
+/// the remaining previous spans are kept, shifted by the length change.
+/// The result equals a split of the whole text.
 ///
 /// parseBySpans() then parses the spans. With the previous version of the
 /// document it aligns the two span lists by their common prefix and common
 /// suffix. A span whose namespace and bytes equal its counterpart's reuses
 /// that declaration's tree (shared by pointer) and unit hashes, and only
 /// the unmatched middle is lexed and parsed, each span on its own. The
+/// spans the windowed split kept match without a byte comparison. The
 /// result equals a whole-file parse of the text, up to stale SourceLocs
 /// in reused trees. Nothing reads those outside diagnostics, and a span
 /// parse that raises any diagnostic is refused, so the caller then parses
@@ -35,6 +46,7 @@
 #include "parser/DeclUnits.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,18 +58,23 @@ struct DeclSpan {
   size_t Begin = 0;      ///< offset of its first token
   size_t End = 0;        ///< one past its closing '}'
   std::string Namespace; ///< enclosing namespace, dotted; empty at the root
-  SourceLoc Start;       ///< line and column of Begin
-};
+  /// The namespace scopes open around it: bit I is set when the first I+1
+  /// segments of Namespace are the name of one (`namespace A { namespace
+  /// B.C {` opens "A" and "A.B.C", bits 0 and 2).
+  uint64_t Scopes = 0;
+  SourceLoc Start; ///< line and column of Begin
 
-/// Splits \p Text into its top-level type declarations, in order. Returns
-/// false when the text cannot be split provably (see the file comment).
-bool splitDeclSpans(std::string_view Text, std::vector<DeclSpan> &Out);
+  bool operator==(const DeclSpan &O) const {
+    return Begin == O.Begin && End == O.End && Namespace == O.Namespace &&
+           Scopes == O.Scopes && Start.Line == O.Start.Line &&
+           Start.Col == O.Start.Col;
+  }
+};
 
 /// Where one parsed declaration sits in its document's text, and what its
 /// retained tree costs.
 struct DeclExtent {
-  size_t Begin = 0;     ///< byte range in the text
-  size_t End = 0;
+  DeclSpan Span;
   size_t TreeBytes = 0; ///< approximate heap bytes of its syntax tree
 };
 
@@ -82,6 +99,14 @@ struct ParsedDecls {
   /// the extents (no tree walk).
   size_t memoryBytes() const;
 };
+
+/// Splits \p Text into its top-level type declarations, in order. Returns
+/// false when the text cannot be split provably (see the file comment).
+/// \p Prev, the parse of \p PrevText, windows the scan; the spans are the
+/// same with or without it.
+bool splitDeclSpans(std::string_view Text, std::vector<DeclSpan> &Out,
+                    std::string_view PrevText = {},
+                    const ParsedDecls *Prev = nullptr);
 
 /// Parses \p Text span by span into \p Out, reusing what it can of
 /// \p Prev, the parse of \p PrevText. Returns false when the text cannot be

@@ -30,21 +30,46 @@ bool Resolver::resolveFile(const SynFile &File) {
 
 bool Resolver::resolveFileReusingDecls(const SynFile &File,
                                        const PriorCode *Prior) {
+  assert((!Prior || &Prior->P.typeSystem() == &TS) &&
+         "reused code was resolved over another TypeSystem");
+  if (Prior && Prior->File.Types.size() != File.Types.size())
+    Prior = nullptr;
   unsigned Before = Diags.errorCount();
   // Declaration phases in lookup-only mode. A false return here means the
   // existing model does not structurally match the file — the caller must
   // not trust RegisteredTypes/MemberMethodIds and should rebuild fully.
-  if (!registerTypesReusing(File))
+  if (!registerTypesReusing(File, Prior))
     return false;
-  if (!resolveMembersReusing(File))
+  if (!resolveMembersReusing(File, Prior))
     return false;
-  resolveBodies(File, Prior);
+  if (!resolveBodies(File, Prior))
+    return false;
   return Diags.errorCount() == Before;
 }
 
-bool Resolver::registerTypesReusing(const SynFile &File) {
+/// True when \p Prior pairs declaration \p I of \p File: the same tree
+/// over the same TypeSystem, already verified and resolved once.
+static bool pairedByPrior(const SynFile &File, size_t I,
+                          const PriorCode *Prior) {
+  return Prior && Prior->File.Types[I] == File.Types[I];
+}
+
+/// True when a declaration resolves to a class with code.
+static bool hasCode(const SynType &ST) {
+  if (ST.Kind != TypeKind::Class && ST.Kind != TypeKind::Struct)
+    return false;
+  return std::any_of(ST.Members.begin(), ST.Members.end(),
+                     [](const SynMember &M) {
+                       return M.Kind == SynMember::Method;
+                     });
+}
+
+bool Resolver::registerTypesReusing(const SynFile &File,
+                                    const PriorCode *Prior) {
   RegisteredTypes.assign(File.Types.size(), InvalidId);
   for (size_t I = 0; I != File.Types.size(); ++I) {
+    if (pairedByPrior(File, I, Prior))
+      continue;
     const SynType &ST = *File.Types[I];
     std::string Qual = ST.NamespaceName.empty()
                            ? ST.Name
@@ -57,9 +82,12 @@ bool Resolver::registerTypesReusing(const SynFile &File) {
   return true;
 }
 
-bool Resolver::resolveMembersReusing(const SynFile &File) {
+bool Resolver::resolveMembersReusing(const SynFile &File,
+                                     const PriorCode *Prior) {
   MemberMethodIds.assign(File.Types.size(), {});
   for (size_t I = 0; I != File.Types.size(); ++I) {
+    if (pairedByPrior(File, I, Prior))
+      continue;
     const SynType &ST = *File.Types[I];
     TypeId T = RegisteredTypes[I];
     MemberMethodIds[I].assign(ST.Members.size(), InvalidId);
@@ -224,38 +252,34 @@ bool Resolver::resolveMembers(const SynFile &File) {
 }
 
 bool Resolver::resolveBodies(const SynFile &File, const PriorCode *Prior) {
-  assert((!Prior || &Prior->P.typeSystem() == &TS) &&
-         "reused code was resolved over another TypeSystem");
-  if (Prior && Prior->File.Types.size() != File.Types.size())
-    Prior = nullptr;
-  // The prior Program's classes are in declaration order, and declaration
-  // I registered the same type in both files, so one cursor pairs them.
+  // The prior Program's classes are in declaration order, one for each
+  // declaration with code, so one cursor pairs them.
   size_t PriorClass = 0;
   for (size_t I = 0; I != File.Types.size(); ++I) {
     const SynType &ST = *File.Types[I];
-    TypeId T = RegisteredTypes[I];
-    if (!isValidId(T))
-      continue;
     if (Prior) {
       const auto &Classes = Prior->P.classes();
-      const std::shared_ptr<const CodeClass> *Same = nullptr;
-      if (PriorClass != Classes.size() && Classes[PriorClass]->type() == T)
-        Same = &Classes[PriorClass++];
       // The same tree over the same TypeSystem resolves to the same code:
       // the prior class if it had one, and otherwise no class at all.
-      if (Prior->File.Types[I].get() == &ST) {
-        if (Same)
-          P.adoptClass(*Same);
+      if (pairedByPrior(File, I, Prior)) {
+        if (hasCode(ST)) {
+          if (PriorClass == Classes.size())
+            return false;
+          P.adoptClass(Classes[PriorClass++]);
+        }
         continue;
       }
+      // A reparsed declaration replaces its prior class: the prior file
+      // declared the same type, with code if this one has code.
+      if (hasCode(ST)) {
+        if (PriorClass == Classes.size() ||
+            Classes[PriorClass]->type() != RegisteredTypes[I])
+          return false;
+        ++PriorClass;
+      }
     }
-    if (ST.Kind != TypeKind::Class && ST.Kind != TypeKind::Struct)
-      continue;
-
-    bool HasMethods = false;
-    for (const SynMember &M : ST.Members)
-      HasMethods |= M.Kind == SynMember::Method;
-    if (!HasMethods)
+    TypeId T = RegisteredTypes[I];
+    if (!isValidId(T) || !hasCode(ST))
       continue;
 
     CodeClass &CC = P.addClass(T);
@@ -280,7 +304,7 @@ bool Resolver::resolveBodies(const SynFile &File, const PriorCode *Prior) {
                     TS.method(Decl).ReturnType);
     }
   }
-  return true;
+  return !Prior || PriorClass == Prior->P.classes().size();
 }
 
 //===----------------------------------------------------------------------===//

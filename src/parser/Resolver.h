@@ -77,8 +77,9 @@ public:
   /// With \p Prior, a declaration whose tree is the same pointer as the
   /// prior file's at the same position resolves to exactly the prior
   /// Program's class for it, so that class is adopted by pointer; only
-  /// the other declarations' bodies are resolved. \p Prior's Program must
-  /// be over this Program's TypeSystem. Without it every body is resolved.
+  /// the other declarations are verified and have their bodies resolved.
+  /// \p Prior's Program must be over this Program's TypeSystem. Without
+  /// it every declaration is verified and every body resolved.
   bool resolveFileReusingDecls(const SynFile &File,
                                const PriorCode *Prior = nullptr);
 
@@ -115,14 +116,16 @@ private:
   bool registerTypes(const SynFile &File);
   bool resolveBases(const SynFile &File);
   bool resolveMembers(const SynFile &File);
+  /// False only when \p Prior's classes do not pair with the file.
   bool resolveBodies(const SynFile &File, const PriorCode *Prior = nullptr);
 
   // Lookup-only twins of the declaration phases (resolveFileReusingDecls):
   // they fill RegisteredTypes / MemberMethodIds from the existing model
   // instead of extending it, and report any structural mismatch by
-  // returning false.
-  bool registerTypesReusing(const SynFile &File);
-  bool resolveMembersReusing(const SynFile &File);
+  // returning false. A declaration \p Prior pairs is skipped (its entries
+  // stay InvalidId): it is adopted, never resolved.
+  bool registerTypesReusing(const SynFile &File, const PriorCode *Prior);
+  bool resolveMembersReusing(const SynFile &File, const PriorCode *Prior);
 
   /// Resolves a dotted type name against \p ContextNs (innermost-out), the
   /// root namespace, and the built-ins. InvalidId if not found.

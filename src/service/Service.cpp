@@ -115,10 +115,14 @@ bool PetalService::handleMessage(std::string_view Payload) {
                            "invalid JSON: " + Error));
     return true;
   }
-  return handleParsed(Message);
+  return handleParsed(std::move(Message));
 }
 
 bool PetalService::handleParsed(const Value &Message) {
+  return handleParsed(Value(Message));
+}
+
+bool PetalService::handleParsed(Value &&Message) {
   {
     std::lock_guard<std::mutex> L(StatsM);
     ++ReceivedCount;
@@ -134,10 +138,11 @@ bool PetalService::handleParsed(const Value &Message) {
     respondError(Id, rpc::InvalidRequest, "missing 'method'");
     return true;
   }
-  const Value *ParamsPtr = Message.find("params");
-  Value Params = ParamsPtr ? *ParamsPtr : Value::object();
+  // The params move on to the task; a change's text is not copied.
+  Value Params = Message.find("params") ? Message.take("params")
+                                        : Value::object();
   try {
-    dispatch(Message, Id, Method, Params);
+    dispatch(Message, Id, Method, std::move(Params));
   } catch (const std::exception &E) {
     // Crash-safe dispatch: a request that blows up while being routed
     // fails alone; the connection (and every other session) keeps going.
@@ -192,7 +197,7 @@ void PetalService::shed(const rpc::RequestId &Id, size_t QueueDepth,
 }
 
 void PetalService::dispatch(const Value &, const rpc::RequestId &Id,
-                            const std::string &Method, const Value &Params) {
+                            const std::string &Method, Value Params) {
   if (Method == "initialize") {
     Value Caps = Value::object();
     Caps.set("documentSync", "full");
@@ -272,10 +277,11 @@ void PetalService::dispatch(const Value &, const rpc::RequestId &Id,
       respondResult(Id, Value());
       return;
     }
-    Task T{Id, Method, Params, std::chrono::steady_clock::now(),
-           Params.getNumber("deadlineMs", 0)};
-    attachCtl(T);
     std::string Doc = Params.getString("doc");
+    double DeadlineMs = Params.getNumber("deadlineMs", 0);
+    Task T{Id, Method, std::move(Params), std::chrono::steady_clock::now(),
+           DeadlineMs, nullptr};
+    attachCtl(T);
     if (Doc.empty()) {
       enqueueGlobal(std::move(T));
       return;
@@ -319,8 +325,9 @@ void PetalService::dispatch(const Value &, const rpc::RequestId &Id,
     }
   }
 
-  Task T{Id, Method, Params, std::chrono::steady_clock::now(),
-         Params.getNumber("deadlineMs", 0)};
+  double DeadlineMs = Params.getNumber("deadlineMs", 0);
+  Task T{Id, Method, std::move(Params), std::chrono::steady_clock::now(),
+         DeadlineMs, nullptr};
 
   // Admission control, decided under the service lock *before* any session
   // state is created, so the admitted set is a pure function of arrival
@@ -702,7 +709,6 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
       return;
     }
   }
-  std::string Text = T.Params.getString("text");
   int64_t Version = T.Params.getInt("version", 0);
   if (IsChange && S.Doc && Version <= S.Doc->Version) {
     taskError(T, rpc::InvalidParams,
@@ -722,8 +728,10 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
   std::unique_ptr<DocumentState> Built;
   bool Threw = false;
   try {
-    Built = buildDocumentState(S.Name, Text, Version, /*DocThreads=*/1,
-                               Error, Prev, Opts.Base, Sig);
+    // The text moves from the request into the document: a large edit's
+    // text is never copied between the wire and the build.
+    Built = buildDocumentState(S.Name, T.Params.takeString("text"), Version,
+                               /*DocThreads=*/1, Error, Prev, Opts.Base, Sig);
   } catch (const InjectedFault &E) {
     // BuildThrow's recovery path: surviving with the session in a defined
     // state IS the recovery (DESIGN.md §15).

@@ -153,7 +153,10 @@ public:
   bool handleMessage(std::string_view Payload);
 
   /// Dispatches an already-parsed message (the in-process client path).
+  /// The message is copied; pass an rvalue to move it in instead, so that
+  /// a change's text is never copied on its way to the document build.
   bool handleParsed(const json::Value &Message);
+  bool handleParsed(json::Value &&Message);
 
   /// Blocks until every enqueued task has finished. Used by tests, the
   /// bench driver, and the daemon's drain-on-exit.
@@ -230,7 +233,7 @@ private:
 
   // Dispatch (transport thread).
   void dispatch(const json::Value &Message, const rpc::RequestId &Id,
-                const std::string &Method, const json::Value &Params);
+                const std::string &Method, json::Value Params);
   void enqueueSession(const std::shared_ptr<SessionState> &S, Task T);
   void enqueueGlobal(Task T);
   json::Value statsJson();

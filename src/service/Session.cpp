@@ -37,7 +37,8 @@ size_t DocumentState::memoryBytes() const {
 /// Tries the incremental path: share \p Prev's TypeSystem and frozen
 /// type-graph tables, and build a new Program that shares \p Prev's
 /// resolved class for every declaration whose tree \p File shares, so
-/// only the declarations the edit reparsed are resolved. Returns false
+/// only the declarations the edit reparsed are verified, resolved and
+/// harvested for abstract types. Returns false
 /// (leaving \p Doc's engine layers unset) when the existing declarations
 /// don't pair up with the file — the caller then runs the full build.
 /// Body-resolution *errors* also return false; the full build reproduces
@@ -75,10 +76,11 @@ static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
     Doc.Exec->adoptSolution(Prev.Exec->sharedSolution());
     Doc.Kind = DocumentState::BuildKind::IncrementalNoop;
   } else {
-    // Bodies changed: the solution is a whole-corpus artifact (constraints
-    // are harvested from *every* method body), so sharing it across a real
-    // body edit would break bit-identity with a fresh build. Recompute it;
-    // the expensive dense freeze is still skipped.
+    // Bodies changed: the indexes harvested only the classes resolved
+    // anew, but the solution is a whole-corpus artifact (its partition
+    // depends on every constraint), so sharing it across a real body edit
+    // would break bit-identity with a fresh build. Recompute it; the
+    // expensive dense freeze is still skipped.
     Doc.Kind = DocumentState::BuildKind::IncrementalBody;
   }
   Doc.Exec->fullSolution();
@@ -211,17 +213,17 @@ static bool buildFromParse(DocumentState &Doc, const DocumentState *Prev,
 }
 
 std::unique_ptr<DocumentState>
-petal::buildDocumentState(const std::string &Name, const std::string &Text,
+petal::buildDocumentState(const std::string &Name, std::string Text,
                           int64_t Version, size_t DocThreads,
                           std::string &Error, const DocumentState *Prev,
                           std::shared_ptr<const BaseCorpus> Base,
                           const AbortSignal *Abort) {
   auto Start = std::chrono::steady_clock::now();
-  auto NewState = [&] {
+  auto NewState = [&](std::string DocText) {
     auto Doc = std::make_unique<DocumentState>();
     Doc->Name = Name;
     Doc->Version = Version;
-    Doc->Text = Text;
+    Doc->Text = std::move(DocText);
     return Doc;
   };
 
@@ -241,7 +243,7 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
   // sharing Prev's tree for every declaration whose namespace and bytes
   // are unchanged. A tree does not depend on the base it was resolved
   // against, so Prev's are offered whatever its base.
-  std::unique_ptr<DocumentState> Doc = NewState();
+  std::unique_ptr<DocumentState> Doc = NewState(std::move(Text));
   std::string_view PrevText = Prev ? std::string_view(Prev->Text) : "";
   if (parseBySpans(Doc->Text, Doc->Parsed, PrevText,
                    Prev ? &Prev->Parsed : nullptr)) {
@@ -255,10 +257,10 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
   // raising a diagnostic, a build that fails — runs from a whole-file
   // parse, so every diagnostic an error reports comes from a fresh parse
   // with the text's own positions.
-  Doc = NewState();
+  Doc = NewState(std::move(Doc->Text));
   Error.clear();
   DiagnosticEngine Diags;
-  if (!parseSourceFile(Text, Doc->Parsed.File, Diags)) {
+  if (!parseSourceFile(Doc->Text, Doc->Parsed.File, Diags)) {
     std::ostringstream OS;
     Diags.print(OS);
     Error = OS.str();

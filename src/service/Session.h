@@ -19,7 +19,7 @@
 /// Every build first parses the text one top-level declaration at a time
 /// (parser/DeclSpans.h), reusing the previous version's syntax tree and
 /// unit hashes for each declaration whose namespace and bytes are
-/// unchanged, so an edit lexes and parses only the declarations it
+/// unchanged, so an edit scans, lexes and parses only the declarations it
 /// touched. A text that does not split cleanly, and any build that fails,
 /// goes through a whole-file parse instead, so that every error reported
 /// comes from a fresh parse. The parse then takes one of three routes,
@@ -36,7 +36,8 @@
 ///    TypeSystem and frozen type-graph tables, and builds a new code
 ///    layer that shares, by pointer, the previous version's resolved
 ///    class of every declaration whose tree the parse reused: only the
-///    declarations the edit reparsed are resolved. Composes with
+///    declarations the edit reparsed are resolved, and only their
+///    classes' abstract-type constraints are harvested. Composes with
 ///    overlays — the shared layers may themselves be overlay layers.
 ///  * **Full**: everything from source, used for opens without a base and
 ///    as the fallback when reuse pairing fails.
@@ -134,7 +135,8 @@ struct DocumentState {
 
 /// Parses \p Text and builds the full query-ready state for it. The parse
 /// reuses \p Prev's trees for unchanged declarations whatever the route
-/// (see the file comment).
+/// (see the file comment). \p Text becomes the state's Text: pass an
+/// rvalue to move it in.
 /// \p DocThreads sizes the per-document BatchExecutor (1 = serial).
 /// Returns null on parse/resolve failure with the diagnostics rendered
 /// into \p Error.
@@ -165,7 +167,7 @@ struct DocumentState {
 /// \p Error noting the abandonment. The caller distinguishes abandonment
 /// from a genuine build failure by checking the signal itself.
 std::unique_ptr<DocumentState>
-buildDocumentState(const std::string &Name, const std::string &Text,
+buildDocumentState(const std::string &Name, std::string Text,
                    int64_t Version, size_t DocThreads, std::string &Error,
                    const DocumentState *Prev = nullptr,
                    std::shared_ptr<const BaseCorpus> Base = nullptr,

@@ -99,7 +99,9 @@ private:
     size_t Size = SlabSize;
     if (Size < AtLeast)
       Size = AtLeast;
-    Slabs.push_back({std::make_unique<char[]>(Size), Size});
+    // Not zero-filled: every byte handed out is constructed (create) or
+    // written by its container (ArenaAllocator) before it is read.
+    Slabs.push_back({std::make_unique_for_overwrite<char[]>(Size), Size});
     Ptr = Slabs.back().Mem.get();
     Remaining = Size;
     // Exponential-ish growth, capped, to keep slab count low.

@@ -7,6 +7,8 @@
 
 #include "support/Json.h"
 
+#include <utility>
+
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -43,6 +45,16 @@ const Value *Value::find(std::string_view Name) const {
     if (M.first == Name)
       return &M.second;
   return nullptr;
+}
+
+Value Value::take(std::string_view Name) {
+  Value *V = const_cast<Value *>(find(Name));
+  return V ? std::exchange(*V, Value()) : Value();
+}
+
+std::string Value::takeString(std::string_view Name) {
+  Value *V = const_cast<Value *>(find(Name));
+  return V && V->isString() ? std::move(V->StrV) : std::string();
 }
 
 bool Value::getBool(std::string_view Name, bool Default) const {

@@ -94,6 +94,14 @@ public:
   /// Member lookup; null if absent or not an object.
   const Value *find(std::string_view Name) const;
 
+  /// Moves member \p Name out of an object, leaving null in its place;
+  /// null if absent or not an object.
+  Value take(std::string_view Name);
+
+  /// Moves the string out of member \p Name, leaving it empty; empty if
+  /// absent or not a string.
+  std::string takeString(std::string_view Name);
+
   /// Typed convenience getters over find(): the fallback is returned when
   /// the member is absent or has the wrong kind.
   bool getBool(std::string_view Name, bool Default) const;

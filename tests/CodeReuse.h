@@ -7,19 +7,23 @@
 //
 // Shared by the incremental-build tests: what an incremental DocumentState
 // must share with its predecessor's resolved code (DESIGN.md §12), and the
-// abstract-type solution in a form that compares bit for bit.
+// abstract-type inference and solution in a form that compares bit for
+// bit.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef PETAL_TESTS_CODEREUSE_H
 #define PETAL_TESTS_CODEREUSE_H
 
+#include "code/ExprFactory.h"
 #include "service/Session.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 /// Checks that \p Now, built incrementally on \p Was, holds \p Was's
@@ -65,6 +69,70 @@ classOrder(const petal::DocumentState &Doc) {
   for (const auto &C : Doc.P->classes())
     Out.push_back(C->type());
   return Out;
+}
+
+/// \p Doc's abstract-type constraints in order, each origin given as its
+/// method's position (class index, method index) in \p Doc's program.
+inline std::vector<std::tuple<uint32_t, uint32_t, size_t, size_t, uint32_t>>
+constraintRows(const petal::DocumentState &Doc) {
+  std::unordered_map<const petal::CodeMethod *, std::pair<size_t, size_t>>
+      Position;
+  const auto &Classes = Doc.P->classes();
+  for (size_t C = 0; C != Classes.size(); ++C)
+    for (size_t M = 0; M != Classes[C]->methods().size(); ++M)
+      Position[Classes[C]->methods()[M].get()] = {C, M};
+  std::vector<std::tuple<uint32_t, uint32_t, size_t, size_t, uint32_t>> Rows;
+  for (const auto &K : Doc.Idx->Infer.constraints()) {
+    auto It = Position.find(K.Origin);
+    EXPECT_NE(It, Position.end()) << "a constraint from outside the program";
+    if (It != Position.end())
+      Rows.emplace_back(K.A, K.B, It->second.first, It->second.second,
+                        K.StmtIndex);
+  }
+  return Rows;
+}
+
+/// Checks that \p Inc's abstract-type inference equals \p Fresh's, built
+/// from scratch over the same text: the variable count, the constraints in
+/// order, the variable of every local and of `this` in every method, and
+/// the Object-method specializations with their variables.
+inline void expectSameInference(const petal::DocumentState &Inc,
+                                const petal::DocumentState &Fresh) {
+  const petal::AbstractTypeInference &A = Inc.Idx->Infer;
+  const petal::AbstractTypeInference &B = Fresh.Idx->Infer;
+  EXPECT_EQ(A.numVars(), B.numVars());
+  EXPECT_EQ(constraintRows(Inc), constraintRows(Fresh));
+
+  const auto &IncClasses = Inc.P->classes();
+  const auto &FreshClasses = Fresh.P->classes();
+  ASSERT_EQ(IncClasses.size(), FreshClasses.size());
+  petal::Arena Nodes;
+  petal::ExprFactory IncExprs(*Inc.TS, Nodes), FreshExprs(*Fresh.TS, Nodes);
+  for (size_t C = 0; C != IncClasses.size(); ++C) {
+    const auto &IncMethods = IncClasses[C]->methods();
+    const auto &FreshMethods = FreshClasses[C]->methods();
+    ASSERT_EQ(IncMethods.size(), FreshMethods.size());
+    for (size_t M = 0; M != IncMethods.size(); ++M) {
+      const petal::CodeMethod &IM = *IncMethods[M], &FM = *FreshMethods[M];
+      SCOPED_TRACE("class " + std::to_string(C) + " method " +
+                   std::to_string(M));
+      ASSERT_EQ(IM.locals().size(), FM.locals().size());
+      for (unsigned L = 0; L != IM.locals().size(); ++L)
+        EXPECT_EQ(A.varOfExpr(IncExprs.var(IM, L), &IM),
+                  B.varOfExpr(FreshExprs.var(FM, L), &FM));
+      EXPECT_EQ(A.varOfExpr(IncExprs.thisRef(IM.owner()), &IM),
+                B.varOfExpr(FreshExprs.thisRef(FM.owner()), &FM));
+    }
+  }
+
+  std::vector<uint64_t> Keys = A.objectSpecializationKeys();
+  EXPECT_EQ(Keys, B.objectSpecializationKeys());
+  for (uint64_t Key : Keys) {
+    auto M = static_cast<petal::MethodId>(Key >> 32);
+    auto T = static_cast<petal::TypeId>(Key & 0xFFFFFFFFu);
+    EXPECT_EQ(A.varOfReturn(M, T), B.varOfReturn(M, T));
+    EXPECT_EQ(A.varOfCallParam(M, 0, T), B.varOfCallParam(M, 0, T));
+  }
 }
 
 /// \p Doc's whole-corpus abstract-type solution as its parent array.

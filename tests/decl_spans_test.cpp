@@ -40,10 +40,20 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
 using namespace petal;
+
+namespace petal {
+/// Spans print as their fields when an expectation fails.
+void PrintTo(const DeclSpan &S, std::ostream *OS) {
+  *OS << "[" << S.Begin << ", " << S.End << ") '" << S.Namespace
+      << "' scopes " << S.Scopes << " at " << S.Start.Line << ":"
+      << S.Start.Col;
+}
+} // namespace petal
 
 namespace {
 
@@ -482,6 +492,14 @@ void runSeed(uint64_t Seed) {
         buildDocumentState("doc.cs", Text, Step + 2, 1, IncError, Cur.get());
     std::unique_ptr<DocumentState> Fresh =
         buildDocumentState("doc.cs", Text, Step + 2, 1, FreshError);
+    // The split windowed by the current version is the whole text's.
+    std::vector<DeclSpan> Windowed, WholeSpans;
+    bool Splits = splitDeclSpans(Text, WholeSpans);
+    EXPECT_EQ(splitDeclSpans(Text, Windowed, Cur->Text, &Cur->Parsed),
+              Splits);
+    if (Splits) {
+      EXPECT_EQ(Windowed, WholeSpans);
+    }
     ASSERT_EQ(Inc != nullptr, Fresh != nullptr) << IncError << FreshError;
     if (!Inc) {
       ASSERT_EQ(IncError, FreshError);
@@ -509,9 +527,12 @@ void runSeed(uint64_t Seed) {
       if (BodyOnly) {
         EXPECT_EQ(Resolved, 1u);
       }
+      // Only the classes resolved anew were harvested.
+      EXPECT_EQ(Inc->Idx->Infer.numHarvested(), Resolved);
     }
     EXPECT_EQ(classOrder(*Inc), classOrder(*Fresh));
     EXPECT_EQ(solutionParents(*Inc), solutionParents(*Fresh));
+    expectSameInference(*Inc, *Fresh);
     for (const CompleteSpec &Q : Battery) {
       SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
       QueryOutcome A = runCompletion(*Inc, Q);
@@ -536,6 +557,47 @@ TEST(SpanReuseDifferentialTest, SeededMutationsMatchAFreshBuild) {
   }
   for (uint64_t Seed = 1; Seed <= 8 && !HasFailure(); ++Seed)
     runSeed(Seed);
+}
+
+/// A local added to a method of the first class with code, of a middle
+/// one and of the last one, each on the previous edit: every later class's
+/// variables move. Each link harvests the one class it resolved, splits as
+/// the whole text does, and has a fresh build's inference.
+TEST(SpanReuseDifferentialTest, AddedLocalsShiftLaterClassesExactly) {
+  std::string Text = projectText();
+  std::string Error;
+  std::unique_ptr<DocumentState> Cur =
+      buildDocumentState("doc.cs", Text, 1, 1, Error);
+  ASSERT_NE(Cur, nullptr) << Error;
+  for (int Step = 0; Step != 6; ++Step) {
+    std::vector<size_t> Stmts = linesIndented(Text, 6);
+    ASSERT_FALSE(Stmts.empty());
+    size_t Where[] = {Stmts.front(), Stmts[Stmts.size() / 2], Stmts.back()};
+    SCOPED_TRACE("step " + std::to_string(Step));
+    Text.insert(Where[Step % 3],
+                "      var added" + std::to_string(Step) + " = 1;\n");
+
+    std::vector<DeclSpan> Windowed, Whole;
+    ASSERT_TRUE(splitDeclSpans(Text, Whole));
+    ASSERT_TRUE(splitDeclSpans(Text, Windowed, Cur->Text, &Cur->Parsed));
+    EXPECT_EQ(Windowed, Whole);
+
+    std::unique_ptr<DocumentState> Inc =
+        buildDocumentState("doc.cs", Text, Step + 2, 1, Error, Cur.get());
+    std::unique_ptr<DocumentState> Fresh =
+        buildDocumentState("doc.cs", Text, Step + 2, 1, Error);
+    ASSERT_TRUE(Inc && Fresh) << Error;
+    EXPECT_EQ(Inc->Kind, DocumentState::BuildKind::IncrementalBody);
+    EXPECT_EQ(Inc->Parsed.Reparsed, 1u);
+    EXPECT_EQ(expectCodeReuse(*Inc, *Cur), 1u);
+    EXPECT_EQ(Inc->Idx->Infer.numHarvested(), 1u);
+    EXPECT_EQ(Fresh->Idx->Infer.numHarvested(), Fresh->P->classes().size());
+    expectSameInference(*Inc, *Fresh);
+    EXPECT_EQ(solutionParents(*Inc), solutionParents(*Fresh));
+    if (HasFailure())
+      return;
+    Cur = std::move(Inc);
+  }
 }
 
 /// Every mutation shape at least once, on the same starting text, so a

@@ -188,9 +188,14 @@ TEST(SessionIncrementalTest, EveryEditShapeMatchesAFreshBuildBitForBit) {
     if (Inc->incremental()) {
       // Each of these edits touches one declaration with code.
       EXPECT_EQ(expectCodeReuse(*Inc, *Base), 1u);
+      // ... and harvests that one class alone.
+      EXPECT_EQ(Inc->Idx->Infer.numHarvested(), 1u);
+    } else {
+      EXPECT_EQ(Inc->Idx->Infer.numHarvested(), Inc->P->classes().size());
     }
     EXPECT_EQ(classOrder(*Inc), classOrder(*Fresh));
     EXPECT_EQ(solutionParents(*Inc), solutionParents(*Fresh));
+    expectSameInference(*Inc, *Fresh);
 
     for (const CompleteSpec &Q : queryBattery()) {
       SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
@@ -238,9 +243,15 @@ TEST(SessionIncrementalTest, ChainedEditsStayBitIdentical) {
   EXPECT_EQ(expectCodeReuse(*D3, *D2), 0u);
   EXPECT_EQ(expectCodeReuse(*D4, *D3), 1u);
 
+  // Each link harvested the classes it resolved, and no other.
+  EXPECT_EQ(D2->Idx->Infer.numHarvested(), 1u);
+  EXPECT_EQ(D3->Idx->Infer.numHarvested(), 0u);
+  EXPECT_EQ(D4->Idx->Infer.numHarvested(), 1u);
+
   std::unique_ptr<DocumentState> F4 = build(V4, 4, nullptr);
   EXPECT_EQ(classOrder(*D4), classOrder(*F4));
   EXPECT_EQ(solutionParents(*D4), solutionParents(*F4));
+  expectSameInference(*D4, *F4);
   for (const CompleteSpec &Q : queryBattery()) {
     SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
     QueryOutcome A = runCompletion(*D4, Q);
@@ -330,6 +341,28 @@ TEST(SessionIncrementalTest, PredecessorsDieBeforeSuccessorsAreQueried) {
     SCOPED_TRACE(Q.Class + "." + Q.Method + " " + Q.Query);
     EXPECT_EQ(runCompletion(*Cur, Q).Completions.write(),
               runCompletion(*Fresh, Q).Completions.write());
+  }
+}
+
+TEST(SessionIncrementalTest, EveryLinkHarvestsWhatItResolvedAndMatchesFresh) {
+  // chainEdit adds a local to the last class with code, then to the
+  // first, whose added variables move every later class's: each link's
+  // variables, constraints and solution must still be a fresh build's,
+  // from a harvest of the one class it resolved.
+  std::string Text = baseText();
+  std::unique_ptr<DocumentState> Cur = build(Text, 1, nullptr);
+  ASSERT_NE(Cur, nullptr);
+  for (int I = 0; I != 9; ++I) {
+    SCOPED_TRACE("edit " + std::to_string(I));
+    Text = chainEdit(Text, I);
+    std::unique_ptr<DocumentState> Next = build(Text, I + 2, Cur.get());
+    std::unique_ptr<DocumentState> Fresh = build(Text, I + 2, nullptr);
+    ASSERT_TRUE(Next && Fresh);
+    ASSERT_TRUE(Next->incremental());
+    EXPECT_EQ(Next->Idx->Infer.numHarvested(), expectCodeReuse(*Next, *Cur));
+    expectSameInference(*Next, *Fresh);
+    EXPECT_EQ(solutionParents(*Next), solutionParents(*Fresh));
+    Cur = std::move(Next);
   }
 }
 
